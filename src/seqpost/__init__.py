@@ -35,7 +35,12 @@ from .refine import (
     refine_verb_step,
 )
 from .rng import CounterRng
-from .synth import SynthConfig, corrupt_to_logits, gen_markov_corpus, run_refinement_experiment
+from .synth import (
+    SynthConfig,
+    corrupt_to_logits_sized,
+    gen_markov_corpus,
+    run_refinement_experiment,
+)
 from .vocab import Action, ActionSequence, Vocabulary, validate_sequence
 
 __version__ = "0.1.0"
@@ -59,7 +64,7 @@ __all__ = [
     "Vocabulary",
     "build_stats",
     "combine_logits",
-    "corrupt_to_logits",
+    "corrupt_to_logits_sized",
     "cross_entropy",
     "decoder_forward",
     "ed_at_k",

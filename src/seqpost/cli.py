@@ -9,11 +9,10 @@ published number is reproducible from the files alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
-
-import numpy as np
 
 from . import __version__
 from .cooc import CoocStats, IndicatorMode, SmoothingConfig, build_stats
@@ -28,7 +27,6 @@ from .ensemble import (
 from .metric import evaluate_corpus
 from .refine import (
     PredictionConfig,
-    PredictionSet,
     dump_predictions,
     generate_patterns,
     load_predictions,
@@ -55,7 +53,8 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(path, command, seed, inputs, config, outputs):
+def _write_manifest(args, command, seed, inputs, config, outputs):
+    """Manifest at --manifest, or beside the command's first output."""
     manifest = {
         "tool": f"seqpost {__version__}",
         "command": command,
@@ -64,7 +63,7 @@ def _write_manifest(path, command, seed, inputs, config, outputs):
         "config": config,
         "outputs": {p: _sha256_file(p) for p in outputs},
     }
-    with open(path, "w") as handle:
+    with open(args.manifest or outputs[0] + ".manifest.json", "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -74,13 +73,14 @@ def _say(args, message):
         print(message)
 
 
-def _load_vocab(path: str) -> Vocabulary:
+def _load_file(path: str, parse, kind: str):
+    """``parse`` applied to a whole JSON file; a malformed one is a CliError."""
     with open(path) as handle:
-        return Vocabulary.from_json(handle.read())
-
-
-def _indicator_mode(name: str) -> IndicatorMode:
-    return IndicatorMode(name)
+        text = handle.read()
+    try:
+        return parse(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{path}: bad {kind} file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +88,8 @@ def _indicator_mode(name: str) -> IndicatorMode:
 
 
 def cmd_stats(args) -> int:
-    verb_vocab = _load_vocab(args.verb_vocab)
-    noun_vocab = _load_vocab(args.noun_vocab)
+    verb_vocab = _load_file(args.verb_vocab, Vocabulary.from_json, "vocabulary")
+    noun_vocab = _load_file(args.noun_vocab, Vocabulary.from_json, "vocabulary")
     corpus = load_corpus(args.train)
     if args.val:
         corpus = corpus + load_corpus(args.val)
@@ -110,7 +110,7 @@ def cmd_stats(args) -> int:
     _say(args, f"{len(corpus)} sequences, {n_bigrams} bigrams -> {args.out}")
     inputs = [args.train, args.verb_vocab, args.noun_vocab] + ([args.val] if args.val else [])
     _write_manifest(
-        args.manifest or args.out + ".manifest.json",
+        args,
         ["stats"],
         None,
         inputs,
@@ -141,7 +141,7 @@ def cmd_ensemble(args) -> int:
     dump_logits(combined, args.out)
     _say(args, f"{len(combined)} examples combined (alpha={args.alpha}, beta={args.beta}) -> {args.out}")
     _write_manifest(
-        args.manifest or args.out + ".manifest.json",
+        args,
         ["ensemble"],
         None,
         [args.logits_a, args.logits_b],
@@ -157,21 +157,17 @@ def _sweep(args, a_list, b_list) -> int:
         raise CliError("--sweep requires --truth")
     truths = load_corpus(args.truth)
     grid = [round(0.1 * i, 1) for i in range(0, 21)]
+    raw_cfgs = [PredictionConfig(num_steps=a.num_steps, num_patterns=1) for a in a_list]
     best = None
     for alpha in grid:
         for beta in grid:
             if alpha == 0.0 and beta == 0.0:
                 continue
             weights = EnsembleWeights(alpha=alpha, beta=beta)
-            preds = []
-            for a, b in zip(a_list, b_list):
-                dists = softmax_rows(combine_logits(a, b, weights))
-                pattern = tuple(
-                    _argmax_action(dists, z) for z in range(dists.num_steps)
-                )
-                preds.append(
-                    PredictionSet(example_id=a.example_id, patterns=(pattern,), tiers=("raw_argmax",))
-                )
+            preds = [
+                generate_patterns(softmax_rows(combine_logits(a, b, weights)), None, cfg)
+                for a, b, cfg in zip(a_list, b_list, raw_cfgs)
+            ]
             report = evaluate_corpus(preds, truths)
             key = (report.ed_action, report.ed_verb, report.ed_noun)
             if best is None or key < best[0]:
@@ -180,12 +176,6 @@ def _sweep(args, a_list, b_list) -> int:
     _say(args, f"best weights by action ED: alpha={alpha} beta={beta} (ed_action={best[0][0]:.4f})")
     print(json.dumps({"alpha": alpha, "beta": beta, "ed_action": best[0][0]}))
     return 0
-
-
-def _argmax_action(dists, z):
-    from .vocab import Action
-
-    return Action(int(np.argmax(dists.verb_probs[z])), int(np.argmax(dists.noun_probs[z])))
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +201,13 @@ def cmd_refine(args) -> int:
         raise CliError("refinement (k >= 2) requires --stats")
     stats = None
     if args.stats:
-        with open(args.stats) as handle:
-            stats = CoocStats.from_json(handle.read())
+        stats = _load_file(args.stats, CoocStats.from_json, "stats")
 
     pred_cfg = PredictionConfig(
         num_steps=args.z,
         num_patterns=args.k,
         rng_seed=args.seed,
-        mode=_indicator_mode(args.mode),
+        mode=IndicatorMode(args.mode),
     )
     pred_sets = []
     for i, tensor in enumerate(tensors):
@@ -226,13 +215,19 @@ def cmd_refine(args) -> int:
             raise CliError(
                 f"example {tensor.example_id!r} has {tensor.num_steps} steps, expected {args.z}"
             )
+        classes = (tensor.verb_logits.shape[1], tensor.noun_logits.shape[1])
+        if stats is not None and classes != (stats.c_verb, stats.c_noun):
+            raise CliError(
+                f"{args.logits}: example {tensor.example_id!r} has {classes[0]} verb and "
+                f"{classes[1]} noun classes, {args.stats} has {stats.c_verb} and {stats.c_noun}"
+            )
         dists = softmax_rows(tensor)
         pred_sets.append(generate_patterns(dists, stats, pred_cfg, stream=i))
     dump_predictions(pred_sets, args.out)
     _say(args, f"{len(pred_sets)} examples -> {args.out} (Z={args.z}, K={args.k}, seed={args.seed})")
     inputs = [args.logits] + ([args.logits_b] if args.logits_b else []) + ([args.stats] if args.stats else [])
     _write_manifest(
-        args.manifest or args.out + ".manifest.json",
+        args,
         ["refine"],
         args.seed,
         inputs,
@@ -267,7 +262,7 @@ def cmd_train(args) -> int:
     _say(args, f"trained {len(dataset)} examples for {cfg.epochs} epochs; "
                f"loss {history[0]:.4f} -> {history[-1]:.4f} -> {args.out}")
     _write_manifest(
-        args.manifest or args.out + ".manifest.json",
+        args,
         ["train"],
         args.seed,
         [args.data],
@@ -299,7 +294,7 @@ def cmd_eval(args) -> int:
     _say(args, f"Verb {report.ed_verb:.4f}  Noun {report.ed_noun:.4f}  Action {report.ed_action:.4f}"
                f"  ({report.n_examples} examples, {report.unmatched} unmatched)")
     _write_manifest(
-        args.manifest or args.out + ".manifest.json",
+        args,
         ["eval"],
         None,
         [args.preds, args.truth],
@@ -313,16 +308,23 @@ def cmd_eval(args) -> int:
 # synth
 
 
+_SYNTH_FIELDS = [f.name for f in dataclasses.fields(SynthConfig)]
+# a synth config may also carry the experiment's settings
+_SYNTH_KEYS = set(_SYNTH_FIELDS) | {"logit_scale", "num_patterns", "mode"}
+
+
 def _load_synth_config(path: str, seed_override) -> tuple[SynthConfig, dict]:
-    with open(path) as handle:
-        obj = json.load(handle)
-    fields = {k: obj[k] for k in (
-        "c_verb", "c_noun", "num_sequences", "seq_len",
-        "transition_sharpness", "verb_noun_coupling", "logit_noise_sigma", "rng_seed",
-    ) if k in obj}
-    if seed_override is not None:
-        fields["rng_seed"] = seed_override
-    return SynthConfig(**fields), obj
+    def parse(text):
+        obj = json.loads(text)
+        unknown = sorted(set(obj) - _SYNTH_KEYS)
+        if unknown:
+            raise ValueError(f"unknown key(s): {', '.join(unknown)}")
+        fields = {k: obj[k] for k in _SYNTH_FIELDS if k in obj}
+        if seed_override is not None:
+            fields["rng_seed"] = seed_override
+        return SynthConfig(**fields), obj
+
+    return _load_file(path, parse, "synth config")
 
 
 def cmd_synth_gen(args) -> int:
@@ -349,7 +351,7 @@ def cmd_synth_gen(args) -> int:
             outputs.append(path)
     _say(args, f"{len(corpus)} sequences -> {args.out_corpus}")
     _write_manifest(
-        args.manifest or args.out_corpus + ".manifest.json",
+        args,
         ["synth", "gen"],
         cfg.rng_seed,
         [args.config],
@@ -365,7 +367,7 @@ def cmd_synth_experiment(args) -> int:
         num_steps=cfg.seq_len,
         num_patterns=raw.get("num_patterns", 5),
         rng_seed=cfg.rng_seed,
-        mode=_indicator_mode(raw.get("mode", "as_written")),
+        mode=IndicatorMode(raw.get("mode", "as_written")),
     )
     report = run_refinement_experiment(cfg, pred_cfg, logit_scale=raw.get("logit_scale", 1.0))
     if not args.per_example:
@@ -378,7 +380,7 @@ def cmd_synth_experiment(args) -> int:
     _say(args, f"action ED raw {raw_ed:.4f} vs refined {ref_ed:.4f} "
                f"(delta {raw_ed - ref_ed:+.4f}) over {report['n_eval']} episodes")
     _write_manifest(
-        args.manifest or args.out + ".manifest.json",
+        args,
         ["synth", "experiment"],
         cfg.rng_seed,
         [args.config],
@@ -399,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        p.add_argument("--manifest", help="run manifest path (default: <out>.manifest.json)")
+        p.add_argument("--manifest", help="run manifest path (default: beside the first output, "
+                       "<output>.manifest.json)")
 
     p = sub.add_parser("stats", help="build co-occurrence statistics from a label corpus")
     p.add_argument("--train", required=True, help="training corpus (JSONL)")

@@ -56,6 +56,17 @@ class CoocStats:
     smoothing: SmoothingConfig
     corpus_fingerprint: str
 
+    def __post_init__(self):
+        c_verb, c_noun = self.c_verb, self.c_noun
+        for name, shape in (
+            ("verb_transition", (c_verb, c_verb)),
+            ("noun_transition", (c_noun, c_noun)),
+            ("verb_given_noun", (c_noun, c_verb)),
+        ):
+            actual = getattr(self, name).shape
+            if actual != shape:
+                raise ValueError(f"{name} has shape {actual}, expected {shape}")
+
     @property
     def c_verb(self) -> int:
         return self.verb_marginal.shape[0]
@@ -114,17 +125,11 @@ def corpus_fingerprint(corpus: list[ActionSequence]) -> str:
 
 def _normalize_rows(counts: np.ndarray, add_k: float) -> np.ndarray:
     counts = counts + add_k
-    totals = counts.sum(axis=1)
-    out = np.empty_like(counts)
-    for i, total in enumerate(totals):
-        if total > 0:
-            out[i] = counts[i] / total
-        else:
-            # Class i never appears as a context with add_k == 0; there is no
-            # evidence either way, so fall back to a uniform row rather than
-            # refusing to build.
-            out[i] = 1.0 / counts.shape[1]
-    return out
+    totals = counts.sum(axis=1, keepdims=True)
+    # A class that never appears as a context with add_k == 0 has no evidence
+    # either way, so its row falls back to uniform rather than refusing to build.
+    seen = totals > 0
+    return np.where(seen, counts / np.where(seen, totals, 1.0), 1.0 / counts.shape[1])
 
 
 def build_stats(

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import LogitsTensor
+from .ensemble import LogitsTensor, softmax_rows
 from .rng import CounterRng
-from .vocab import ActionSequence
+from .vocab import Action, ActionSequence, iter_jsonl
 
 _LOG_FLOOR = 1e-12
 
@@ -147,12 +147,6 @@ def decoder_forward(dec: MultiHeadDecoder, features: np.ndarray) -> LogitsTensor
     )
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def example_targets(
     seq: ActionSequence, c_verb: int, c_noun: int, use_smoothing: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -181,11 +175,11 @@ def loss_and_grad(
     total_loss = 0.0
     for features, seq in batch:
         features = np.asarray(features, dtype=np.float64)
-        logits = decoder_forward(dec, features)
+        dists = softmax_rows(decoder_forward(dec, features))
         verb_targets, noun_targets = example_targets(seq, c_verb, c_noun, use_smoothing)
         for probs, targets, w_key, b_key in (
-            (_softmax_rows(logits.verb_logits), verb_targets, "verb_weights", "verb_biases"),
-            (_softmax_rows(logits.noun_logits), noun_targets, "noun_weights", "noun_biases"),
+            (dists.verb_probs, verb_targets, "verb_weights", "verb_biases"),
+            (dists.noun_probs, noun_targets, "noun_weights", "noun_biases"),
         ):
             for z in range(dec.num_steps):
                 total_loss += cross_entropy(probs[z], targets[z])
@@ -241,8 +235,6 @@ def train(
 
 def load_train_dataset(path: str) -> list[tuple[np.ndarray, ActionSequence]]:
     """JSONL rows {"features": [...], "actions": [[v, n], ...]}."""
-    from .vocab import Action, iter_jsonl
-
     dataset = []
     for lineno, obj in iter_jsonl(path):
         try:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .vocab import load_records
+
 
 @dataclass(frozen=True)
 class LogitsTensor:
@@ -109,15 +111,7 @@ def softmax_rows(logits: LogitsTensor) -> StepDistributions:
 
 
 def load_logits(path: str) -> list[LogitsTensor]:
-    from .vocab import iter_jsonl
-
-    out = []
-    for lineno, obj in iter_jsonl(path):
-        try:
-            out.append(LogitsTensor.from_obj(obj))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad logits record: {exc}") from exc
-    return out
+    return load_records(path, LogitsTensor.from_obj, "logits")
 
 
 def dump_logits(tensors: list[LogitsTensor], path: str) -> None:

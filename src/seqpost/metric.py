@@ -13,7 +13,7 @@ transposition for plain Levenshtein.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from .refine import PredictionSet
@@ -89,15 +89,9 @@ class EvalReport:
     per_example: Optional[list[dict]] = field(default=None)
 
     def to_json(self) -> str:
-        obj = {
-            "ed_verb": self.ed_verb,
-            "ed_noun": self.ed_noun,
-            "ed_action": self.ed_action,
-            "n_examples": self.n_examples,
-            "unmatched": self.unmatched,
-        }
-        if self.per_example is not None:
-            obj["per_example"] = self.per_example
+        obj = asdict(self)
+        if self.per_example is None:
+            del obj["per_example"]
         return json.dumps(obj)
 
 

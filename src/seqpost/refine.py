@@ -27,7 +27,7 @@ import numpy as np
 from .cooc import CoocStats, IndicatorMode, transition_score_row
 from .ensemble import StepDistributions
 from .rng import CounterRng
-from .vocab import Action
+from .vocab import Action, load_records
 
 TIER_RAW_ARGMAX = "raw_argmax"
 TIER_REFINED_ARGMAX = "refined_argmax"
@@ -83,12 +83,7 @@ def refine_noun_step(
     mode: IndicatorMode,
 ) -> tuple[np.ndarray, bool]:
     """Reweight by ReLU(transition score); fall back when mass vanishes."""
-    scores = transition_score_row(stats, prev_noun, "noun", mode)
-    raw = noun_probs * np.maximum(scores, 0.0)
-    total = raw.sum()
-    if total > 0.0:
-        return raw / total, False
-    return noun_probs, True
+    return _reweight(noun_probs, prev_noun, "noun", stats, mode)
 
 
 def refine_verb_step(
@@ -99,12 +94,28 @@ def refine_verb_step(
     mode: IndicatorMode,
 ) -> tuple[np.ndarray, bool]:
     """Like refine_noun_step but also weighted by p(verb | selected noun)."""
-    scores = transition_score_row(stats, prev_verb, "verb", mode)
-    raw = verb_probs * np.maximum(scores, 0.0) * stats.verb_given_noun[selected_noun]
+    return _reweight(
+        verb_probs, prev_verb, "verb", stats, mode, stats.verb_given_noun[selected_noun]
+    )
+
+
+def _reweight(
+    probs: np.ndarray,
+    prev: int,
+    axis: str,
+    stats: CoocStats,
+    mode: IndicatorMode,
+    weight: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, bool]:
+    """probs * ReLU(scores of prev) [* weight], renormalised; (probs, True)
+    when no mass survives."""
+    raw = probs * np.maximum(transition_score_row(stats, prev, axis, mode), 0.0)
+    if weight is not None:
+        raw *= weight
     total = raw.sum()
     if total > 0.0:
         return raw / total, False
-    return verb_probs, True
+    return probs, True
 
 
 def _argmax(probs: np.ndarray) -> int:
@@ -184,15 +195,7 @@ def generate_patterns(
 
 
 def load_predictions(path: str) -> list[PredictionSet]:
-    from .vocab import iter_jsonl
-
-    out = []
-    for lineno, obj in iter_jsonl(path):
-        try:
-            out.append(PredictionSet.from_obj(obj))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad prediction record: {exc}") from exc
-    return out
+    return load_records(path, PredictionSet.from_obj, "prediction")
 
 
 def dump_predictions(pred_sets: list[PredictionSet], path: str) -> None:

@@ -78,10 +78,10 @@ class CounterRng:
         """Inverse-CDF draw over class index order (lowest index on ties)."""
         u = self.uniform()
         total = 0.0
-        last = 0
         for i, p in enumerate(probs):
             total += p
-            last = i
             if u < total:
                 return i
-        return last
+        # the float CDF summed short of u: take the last class with positive
+        # mass, never a zero-mass one
+        return max((i for i, p in enumerate(probs) if p > 0), default=0)

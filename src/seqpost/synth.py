@@ -7,7 +7,7 @@ noun with the uniform distribution.  Sequences are drawn by ancestral
 sampling; the emitted verb is replaced by the noun's designated verb with
 probability ``verb_noun_coupling``, which is what plants the coupling.
 
-``corrupt_to_logits`` turns a ground-truth sequence into noisy logits with a
+``corrupt_to_logits_sized`` turns a ground-truth sequence into noisy logits with a
 tunable signal-to-noise ratio, and ``run_refinement_experiment`` closes the
 loop: build statistics on a train split, decode the corrupted eval split
 with and without refinement, and report the edit-distance deltas.  All
@@ -17,7 +17,7 @@ independent of scheduling order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -110,25 +110,6 @@ def gen_markov_corpus(cfg: SynthConfig) -> tuple[list[ActionSequence], CoocStats
     return corpus, planted
 
 
-def corrupt_to_logits(
-    truth: ActionSequence,
-    sigma: float,
-    scale: float,
-    seed: int,
-    stream: int = 0,
-) -> LogitsTensor:
-    """scale * one-hot(truth) + gaussian noise, drawn from (seed, stream)."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    rng = CounterRng(seed, stream=stream)
-    z = len(truth.actions)
-    c_verb = max(a.verb_id for a in truth.actions) + 1
-    c_noun = max(a.noun_id for a in truth.actions) + 1
-    return _corrupt(truth, sigma, scale, rng, z, c_verb, c_noun)
-
-
 def corrupt_to_logits_sized(
     truth: ActionSequence,
     sigma: float,
@@ -138,12 +119,14 @@ def corrupt_to_logits_sized(
     c_noun: int,
     stream: int = 0,
 ) -> LogitsTensor:
-    """Like corrupt_to_logits with explicit class counts."""
+    """scale * one-hot(truth) + gaussian noise over (c_verb, c_noun) classes,
+    drawn from (seed, stream)."""
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
     rng = CounterRng(seed, stream=stream)
-    return _corrupt(truth, sigma, scale, rng, len(truth.actions), c_verb, c_noun)
-
-
-def _corrupt(truth, sigma, scale, rng, z, c_verb, c_noun) -> LogitsTensor:
+    z = len(truth.actions)
     verb_logits = np.zeros((z, c_verb))
     noun_logits = np.zeros((z, c_noun))
     for step, action in enumerate(truth.actions):
@@ -200,14 +183,7 @@ def run_refinement_experiment(
     refined_report = evaluate_corpus(full_preds, eval_split, keep_per_example=True)
     return {
         "config": {
-            "c_verb": cfg.c_verb,
-            "c_noun": cfg.c_noun,
-            "num_sequences": cfg.num_sequences,
-            "seq_len": cfg.seq_len,
-            "transition_sharpness": cfg.transition_sharpness,
-            "verb_noun_coupling": cfg.verb_noun_coupling,
-            "logit_noise_sigma": cfg.logit_noise_sigma,
-            "rng_seed": cfg.rng_seed,
+            **asdict(cfg),
             "num_patterns": pred_cfg.num_patterns,
             "mode": pred_cfg.mode.value,
         },

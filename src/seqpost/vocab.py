@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,10 @@ class ActionSequence:
 
     @classmethod
     def from_json(cls, text: str) -> "ActionSequence":
-        obj = json.loads(text)
+        return cls.from_obj(json.loads(text))
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "ActionSequence":
         return cls(
             episode_id=obj["episode_id"],
             actions=tuple(Action(int(v), int(n)) for v, n in obj["actions"]),
@@ -106,17 +111,7 @@ def validate_sequence(
 
 def load_corpus(path: str) -> list[ActionSequence]:
     """Read a JSON Lines corpus file, one ActionSequence per line."""
-    corpus = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                corpus.append(ActionSequence.from_json(line))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad sequence record: {exc}") from exc
-    return corpus
+    return load_records(path, ActionSequence.from_obj, "sequence")
 
 
 def dump_corpus(corpus: Iterable[ActionSequence], path: str) -> None:
@@ -136,3 +131,15 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, dict]]:
                 yield lineno, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+
+
+def load_records(path: str, parse: Callable[[dict], T], kind: str) -> list[T]:
+    """``parse`` applied to each record of a JSONL file; a record it rejects
+    raises ValueError naming ``path:lineno``."""
+    out = []
+    for lineno, obj in iter_jsonl(path):
+        try:
+            out.append(parse(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
+    return out

@@ -258,3 +258,94 @@ def test_commands_do_not_mutate_inputs(workspace):
     assert _build_stats(workspace) == 0
     assert _run_pipeline(workspace, "preds.jsonl") == 0
     assert (workspace / "logits.jsonl").read_bytes() == before
+
+
+def _stats_cmd(ws, train="corpus.jsonl", verb_vocab="vocab.verb.json"):
+    return main([
+        "stats", "--quiet",
+        "--train", str(ws / train),
+        "--verb-vocab", str(ws / verb_vocab),
+        "--noun-vocab", str(ws / "vocab.noun.json"),
+        "--out", str(ws / "unused.json"),
+    ])
+
+
+def test_corpus_record_error_names_file_and_line(workspace, capsys):
+    bad = workspace / "wide.jsonl"
+    bad.write_text('{"episode_id": "e", "actions": [[0, 1, 2]]}\n')
+    assert _stats_cmd(workspace, train="wide.jsonl") == 1
+    assert f"{bad}:1: bad sequence record" in capsys.readouterr().err
+
+
+def test_vocabulary_without_kind_is_one_error_line(workspace, capsys):
+    bad = workspace / "nokind.json"
+    bad.write_text('{"names": ["a", "b", "c", "d"]}\n')
+    assert _stats_cmd(workspace, verb_vocab="nokind.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: bad vocabulary file")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda obj: obj.pop("verb_given_noun"), "'verb_given_noun'"),
+    (lambda obj: obj.update(verb_given_noun=obj["verb_given_noun"][:2]),
+     "verb_given_noun has shape (2, 4), expected (4, 4)"),
+], ids=["missing_table", "short_table"])
+def test_malformed_stats_is_one_error_line(workspace, capsys, corrupt, message):
+    assert _build_stats(workspace) == 0
+    obj = json.loads((workspace / "stats.json").read_text())
+    corrupt(obj)
+    bad = workspace / "bad_stats.json"
+    bad.write_text(json.dumps(obj))
+    code = main([
+        "refine", "--quiet", "--stats", str(bad),
+        "--logits", str(workspace / "logits.jsonl"),
+        "--z", "6", "--k", "4", "--out", str(workspace / "x.jsonl"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: bad stats file: {message}\n"
+
+
+def test_logits_wider_than_stats_rejected_at_load(workspace, capsys):
+    assert _build_stats(workspace) == 0
+    wide = workspace / "wide_logits.jsonl"
+    wide.write_text(json.dumps({
+        "example_id": "ep00000",
+        "verb_logits": np.zeros((6, 4)).tolist(),
+        "noun_logits": np.zeros((6, 5)).tolist(),
+    }) + "\n")
+    code = main([
+        "refine", "--quiet", "--stats", str(workspace / "stats.json"),
+        "--logits", str(wide), "--z", "6", "--k", "4",
+        "--out", str(workspace / "x.jsonl"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {wide}: example 'ep00000' has 4 verb and 5 noun classes")
+    assert not (workspace / "x.jsonl").exists()
+
+
+def _synth_gen(ws, config):
+    path = ws / "bad_synth.json"
+    path.write_text(json.dumps(config))
+    return path, main([
+        "synth", "gen", "--quiet", "--config", str(path),
+        "--out-corpus", str(ws / "c.jsonl"), "--out-logits", str(ws / "l.jsonl"),
+    ])
+
+
+def test_synth_config_rejects_unknown_key(workspace, capsys):
+    path, code = _synth_gen(workspace, {"c_verb": 3, "c_noun": 3, "transition_sharpnes": 5.0})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad synth config file")
+    assert "transition_sharpnes" in err
+    assert not (workspace / "c.jsonl").exists()
+
+
+def test_synth_config_rejects_nonpositive_logit_scale(workspace, capsys):
+    _, code = _synth_gen(workspace, {"c_verb": 3, "c_noun": 3, "logit_scale": 0.0})
+    assert code == 1
+    assert "scale must be positive" in capsys.readouterr().err
+

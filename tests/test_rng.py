@@ -56,3 +56,11 @@ def test_shuffle_deterministic():
     CounterRng(6).shuffle(b)
     assert a == b
     assert sorted(a) == list(range(10))
+
+
+def test_choice_from_cdf_never_returns_zero_mass_class():
+    # the float CDF of ten 0.1s ends at 0.9999999999999999, so the largest
+    # uniform draw walks past it
+    rng = CounterRng(0)
+    rng.uniform = lambda: 1.0 - 2.0 ** -53
+    assert rng.choice_from_cdf([0.1] * 10 + [0.0]) == 9
