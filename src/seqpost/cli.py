@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -193,7 +194,10 @@ def cmd_refine(args) -> int:
         if len(tensors) != len(b_list):
             raise CliError(f"logits files differ in length: {len(tensors)} vs {len(b_list)}")
         weights = EnsembleWeights(alpha=args.alpha, beta=args.beta)
-        tensors = [combine_logits(a, b, weights) for a, b in zip(tensors, b_list)]
+        # combined in place, so model a, model b and the result are never all held
+        for i, b in enumerate(b_list):
+            tensors[i] = combine_logits(tensors[i], b, weights)
+        del b_list
         config["alpha"], config["beta"] = args.alpha, args.beta
 
     refining = args.k >= 2
@@ -309,16 +313,30 @@ def cmd_eval(args) -> int:
 
 
 _SYNTH_FIELDS = [f.name for f in dataclasses.fields(SynthConfig)]
-# a synth config may also carry the experiment's settings
-_SYNTH_KEYS = set(_SYNTH_FIELDS) | {"logit_scale", "num_patterns", "mode"}
+_MODES = [m.value for m in IndicatorMode]
+# the experiment's settings a synth config may carry besides the SynthConfig
+# fields: key -> (what a value must be, its check)
+_SYNTH_SETTINGS = {
+    "logit_scale": ("positive and finite", lambda v: isinstance(v, (int, float))
+                    and not isinstance(v, bool) and 0 < v < math.inf),
+    "num_patterns": ("an integer >= 1", lambda v: isinstance(v, int)
+                     and not isinstance(v, bool) and v >= 1),
+    "mode": (f"one of {', '.join(_MODES)}", lambda v: v in _MODES),
+}
+_SYNTH_KEYS = set(_SYNTH_FIELDS) | set(_SYNTH_SETTINGS)
 
 
 def _load_synth_config(path: str, seed_override) -> tuple[SynthConfig, dict]:
     def parse(text):
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
         unknown = sorted(set(obj) - _SYNTH_KEYS)
         if unknown:
             raise ValueError(f"unknown key(s): {', '.join(unknown)}")
+        for key, (what, ok) in _SYNTH_SETTINGS.items():
+            if key in obj and not ok(obj[key]):
+                raise ValueError(f"{key} must be {what}, got {obj[key]!r}")
         fields = {k: obj[k] for k in _SYNTH_FIELDS if k in obj}
         if seed_override is not None:
             fields["rng_seed"] = seed_override

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -55,6 +55,11 @@ class CoocStats:
     verb_given_noun: np.ndarray  # (C_noun, C_verb), row-stochastic
     smoothing: SmoothingConfig
     corpus_fingerprint: str
+    # transition_score_row's memo: (axis, mode) -> ((C, C) table, per-prev
+    # row view or None). One table per (axis, mode), not one array per row,
+    # because hundreds of small long-lived arrays fragment the heap of a
+    # process that refines repeatedly. replace() starts with an empty memo.
+    _score_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c_verb, c_noun = self.c_verb, self.c_noun
@@ -185,7 +190,17 @@ def build_stats(
 def transition_score_row(
     stats: CoocStats, prev: int, axis: str, mode: IndicatorMode
 ) -> np.ndarray:
-    """Indicator scores for all successor classes of ``prev`` on one axis."""
+    """Indicator scores for all successor classes of ``prev`` on one axis.
+
+    Each row is computed once per ``stats`` and returned as a read-only view."""
+    cache = stats._score_rows.get((axis, mode))
+    if cache is None:
+        c = stats.marginal(axis).shape[0]
+        cache = stats._score_rows[(axis, mode)] = (np.empty((c, c)), [None] * c)
+    table, rows = cache
+    row = rows[prev]
+    if row is not None:
+        return row
     lo, hi = stats.smoothing.prob_clamp_min, stats.smoothing.prob_clamp_max
     marginal = stats.marginal(axis)
     cond = stats.transition(axis)[prev]
@@ -196,7 +211,11 @@ def transition_score_row(
     else:
         num = np.clip(cond * float(marginal[prev]), lo, hi)
     log_num = np.log(num)
-    return (log_num - np.log(m_prev * m_next)) / -log_num
+    row = table[prev]
+    row[...] = (log_num - np.log(m_prev * m_next)) / -log_num
+    row.flags.writeable = False
+    rows[prev] = row
+    return row
 
 
 def transition_score(

@@ -7,7 +7,10 @@ corpus score is the arithmetic mean over examples, per axis independently.
 
 The default distance is the restricted Damerau-Levenshtein (insert, delete,
 substitute, adjacent transposition, all cost 1); a flag drops the
-transposition for plain Levenshtein.
+transposition for plain Levenshtein.  Both are computed by Hyyro's
+bit-parallel algorithm with Python ints as bit vectors, so sequences of any
+length work; tokens must be hashable (ints, (verb, noun) tuples, strings).
+``tests/oracles.recursive_edit_distance`` is the scalar reference.
 """
 
 from __future__ import annotations
@@ -21,31 +24,46 @@ from .vocab import ActionSequence
 
 
 def edit_distance(a: Sequence, b: Sequence, allow_transposition: bool = True) -> int:
-    """Dynamic-program edit distance over any equatable tokens."""
-    la, lb = len(a), len(b)
-    dist = [[0] * (lb + 1) for _ in range(la + 1)]
-    for i in range(la + 1):
-        dist[i][0] = i
-    for j in range(1, lb + 1):
-        dist[0][j] = j
-    for i in range(1, la + 1):
-        for j in range(1, lb + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            best = min(
-                dist[i - 1][j] + 1,  # deletion
-                dist[i][j - 1] + 1,  # insertion
-                dist[i - 1][j - 1] + cost,  # substitution
-            )
-            if (
-                allow_transposition
-                and i > 1
-                and j > 1
-                and a[i - 1] == b[j - 2]
-                and a[i - 2] == b[j - 1]
-            ):
-                best = min(best, dist[i - 2][j - 2] + 1)  # adjacent transposition
-            dist[i][j] = best
-    return dist[la][lb]
+    """Edit distance over hashable tokens, by Hyyro's bit-parallel algorithm.
+
+    Column j of the DP table is kept as two bit vectors (Python ints, so any
+    length of ``a`` fits): bit i of ``vp``/``vn`` is set when
+    D[i+1][j] - D[i][j] is +1/-1.  Each token of ``b`` updates the whole
+    column with a fixed number of integer operations; ``score`` tracks the
+    bottom cell D[len(a)][j].  Myers (1999) for Levenshtein; the
+    transposition term is Hyyro (2003), "A bit-vector algorithm for
+    computing Levenshtein and Damerau edit distances".
+    """
+    m = len(a)
+    if m == 0:
+        return len(b)
+    peq: dict = {}  # token -> bit mask of its positions in a
+    bit = 1
+    for token in a:
+        peq[token] = peq.get(token, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    top = bit >> 1
+    vp, vn = mask, 0
+    d0 = pm_prev = 0  # pm_prev stays 0 when transpositions are off
+    score = m
+    for token in b:
+        pm = peq.get(token, 0)
+        # the transposition term reads the previous column's d0 and pm
+        d0 = (((pm & vp) + vp) ^ vp) | pm | vn | (((~d0 & pm) << 1) & pm_prev)
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        if hp & top:
+            score += 1
+        elif hn & top:
+            score -= 1
+        hp = (hp << 1) | 1  # row 0 of the table grows by one per column
+        hn <<= 1
+        vp = (hn | ~(d0 | hp)) & mask
+        vn = hp & d0 & mask
+        if allow_transposition:
+            pm_prev = pm
+    return score
 
 
 def project_axis(actions, axis: str) -> list:
@@ -104,13 +122,22 @@ def evaluate_corpus(
     """Mean min-over-K normalized edit distance per axis over a corpus.
 
     Predictions whose example_id has no truth are counted as unmatched and
-    excluded; zero matched examples is an error.
+    excluded; zero matched examples and an example_id repeated in either
+    input are errors.
     """
-    truth_by_id = {t.episode_id: t for t in truths}
+    truth_by_id: dict = {}
+    for truth in truths:
+        if truth.episode_id in truth_by_id:
+            raise ValueError(f"duplicate example_id {truth.episode_id!r} in the truth")
+        truth_by_id[truth.episode_id] = truth
+    seen: set = set()
     per_example: list[dict] = []
     sums = {"verb": 0.0, "noun": 0.0, "action": 0.0}
     unmatched = 0
     for preds in pred_sets:
+        if preds.example_id in seen:
+            raise ValueError(f"duplicate example_id {preds.example_id!r} in the predictions")
+        seen.add(preds.example_id)
         truth = truth_by_id.get(preds.example_id)
         if truth is None:
             unmatched += 1

@@ -349,3 +349,43 @@ def test_synth_config_rejects_nonpositive_logit_scale(workspace, capsys):
     assert code == 1
     assert "scale must be positive" in capsys.readouterr().err
 
+
+def _assert_rejected_before_writing(ws, capsys, config, key):
+    path, code = _synth_gen(ws, {"c_verb": 3, "c_noun": 3, **config})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad synth config file: {key} must be")
+    assert err.count("\n") == 1
+    assert not (ws / "c.jsonl").exists()
+
+
+@pytest.mark.parametrize("scale", ["big", True, 0, -1.5])
+def test_synth_config_rejects_bad_logit_scale(workspace, capsys, scale):
+    _assert_rejected_before_writing(workspace, capsys, {"logit_scale": scale}, "logit_scale")
+
+
+@pytest.mark.parametrize("k", ["5", 2.5, False, 0])
+def test_synth_config_rejects_bad_num_patterns(workspace, capsys, k):
+    _assert_rejected_before_writing(workspace, capsys, {"num_patterns": k}, "num_patterns")
+
+
+def test_synth_config_rejects_unknown_mode(workspace, capsys):
+    _assert_rejected_before_writing(workspace, capsys, {"mode": "npmi"}, "mode")
+
+
+def test_eval_duplicate_prediction_id_is_one_error_line(workspace, capsys):
+    assert _build_stats(workspace) == 0
+    assert _run_pipeline(workspace, "preds.jsonl") == 0
+    lines = (workspace / "preds.jsonl").read_text().splitlines()
+    (workspace / "dup.jsonl").write_text("\n".join(lines + lines[:1]) + "\n")
+    code = main([
+        "eval", "--quiet",
+        "--preds", str(workspace / "dup.jsonl"),
+        "--truth", str(workspace / "corpus.jsonl"),
+        "--out", str(workspace / "dup_report.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    example_id = json.loads(lines[0])["example_id"]
+    assert err == f"error: duplicate example_id {example_id!r} in the predictions\n"
+    assert not (workspace / "dup_report.json").exists()

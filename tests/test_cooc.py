@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from seqpost.cooc import (
     SmoothingConfig,
     build_stats,
     transition_score,
+    transition_score_row,
     verb_given_noun,
 )
 from seqpost.rng import CounterRng
@@ -206,3 +208,50 @@ def test_smoothing_config_validation():
         SmoothingConfig(prob_clamp_min=0.6)
     with pytest.raises(ValueError):
         SmoothingConfig(prob_clamp_max=0.4)
+
+
+def _fresh_score_row(stats, prev, axis, mode):
+    """The indicator row computed from scratch, with no cache involved."""
+    lo, hi = stats.smoothing.prob_clamp_min, stats.smoothing.prob_clamp_max
+    marginal = stats.marginal(axis)
+    cond = stats.transition(axis)[prev]
+    m_prev = min(max(float(marginal[prev]), lo), hi)
+    m_next = np.clip(marginal, lo, hi)
+    if mode is IndicatorMode.AS_WRITTEN:
+        num = np.clip(cond, lo, hi)
+    else:
+        num = np.clip(cond * float(marginal[prev]), lo, hi)
+    log_num = np.log(num)
+    return (log_num - np.log(m_prev * m_next)) / -log_num
+
+
+@pytest.mark.parametrize("mode", list(IndicatorMode))
+def test_memoised_score_rows_equal_fresh_rows_bytewise(mode):
+    stats = _stats_for(_random_corpus(3))
+    for axis, classes in (("verb", stats.c_verb), ("noun", stats.c_noun)):
+        for prev in range(classes):
+            first = transition_score_row(stats, prev, axis, mode)
+            again = transition_score_row(stats, prev, axis, mode)
+            assert again is first
+            assert first.tobytes() == _fresh_score_row(stats, prev, axis, mode).tobytes()
+
+
+def test_memoised_score_row_is_read_only():
+    stats = _stats_for(_random_corpus(4))
+    row = transition_score_row(stats, 0, "noun", IndicatorMode.AS_WRITTEN)
+    with pytest.raises(ValueError):
+        row[0] = 1.0
+    assert transition_score_row(stats, 0, "noun", IndicatorMode.AS_WRITTEN).tobytes() == (
+        _fresh_score_row(stats, 0, "noun", IndicatorMode.AS_WRITTEN).tobytes()
+    )
+
+
+def test_replaced_stats_start_with_empty_cache():
+    stats = _stats_for(_random_corpus(6))
+    old_row = transition_score_row(stats, 1, "verb", IndicatorMode.AS_WRITTEN)
+    flat = np.full_like(stats.verb_transition, 1.0 / stats.c_verb)
+    changed = dataclasses.replace(stats, verb_transition=flat)
+    new_row = transition_score_row(changed, 1, "verb", IndicatorMode.AS_WRITTEN)
+    assert new_row is not old_row
+    assert new_row.tobytes() == _fresh_score_row(changed, 1, "verb", IndicatorMode.AS_WRITTEN).tobytes()
+    assert new_row.tobytes() != old_row.tobytes()

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqpost.metric import EvalReport, ed_at_k, edit_distance, evaluate_corpus
 from seqpost.refine import PredictionSet
@@ -205,3 +207,76 @@ def test_report_json_fields():
     obj = __import__("json").loads(report.to_json())
     assert obj == {"ed_verb": 0.1, "ed_noun": 0.2, "ed_action": 0.3,
                    "n_examples": 4, "unmatched": 1}
+
+
+def test_evaluate_corpus_duplicate_prediction_id_errors():
+    truth = _truth([(0, 0)], "twice")
+    preds = PredictionSet("twice", (_pattern([(0, 0)]),), ("raw_argmax",))
+    with pytest.raises(ValueError, match="duplicate example_id 'twice' in the predictions"):
+        evaluate_corpus([preds, preds], [truth])
+
+
+def test_evaluate_corpus_duplicate_truth_id_errors():
+    preds = PredictionSet("twice", (_pattern([(0, 0)]),), ("raw_argmax",))
+    truths = [_truth([(0, 0)], "twice"), _truth([(1, 1)], "twice")]
+    with pytest.raises(ValueError, match="duplicate example_id 'twice' in the truth"):
+        evaluate_corpus([preds], truths)
+
+
+# -- the bit-parallel edit distance against the scalar oracle ---------------
+
+
+@st.composite
+def _token_pair(draw):
+    alphabet = st.integers(min_value=0, max_value=draw(st.integers(1, 4)) - 1)
+    return (
+        draw(st.lists(alphabet, max_size=12)),
+        draw(st.lists(alphabet, max_size=12)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_token_pair(), st.booleans())
+def test_bit_parallel_equals_recursive_oracle(pair, flag):
+    a, b = pair
+    assert edit_distance(a, b, flag) == recursive_edit_distance(a, b, flag)
+
+
+def _swapped(seq, positions):
+    out = list(seq)
+    for i in positions:
+        out[i], out[i + 1] = out[i + 1], out[i]
+    return out
+
+
+# lengths 70-130 need more than one 64-bit word; swaps and edits sit on
+# both sides of bit 63
+LONG_CASES = [
+    ([i % 7 for i in range(130)], _swapped([i % 7 for i in range(130)], (10, 63, 120)), 3, 6),
+    (list(range(100)), [-1] + list(range(64)) + list(range(65, 100)), 2, 2),
+    ([0] * 70, [1] * 130, 130, 130),
+    ([i % 5 for i in range(90)], [(i * 3) % 5 for i in range(75)], 69, 69),
+]
+
+
+@pytest.mark.parametrize("a, b, restricted, plain", LONG_CASES)
+def test_bit_parallel_multiword_cases(a, b, restricted, plain):
+    for x, y in ((a, b), (b, a)):
+        assert edit_distance(x, y, True) == restricted == recursive_edit_distance(x, y, True)
+        assert edit_distance(x, y, False) == plain == recursive_edit_distance(x, y, False)
+
+
+def test_bit_parallel_tuple_tokens():
+    a = [(0, 1), (1, 2), (2, 3)]
+    assert edit_distance(a, [(1, 2), (0, 1), (2, 3)], True) == 1
+    assert edit_distance(a, [(1, 2), (0, 1), (2, 3)], False) == 2
+    assert edit_distance(a, [(0, 1), (1, 3), (2, 3)]) == 1  # one component differs
+    assert edit_distance(a, a) == 0
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_bit_parallel_empty_sides(flag):
+    assert edit_distance([], [], flag) == 0
+    assert edit_distance([], [(0, 1)] * 3, flag) == 3
+    assert edit_distance([(0, 1)] * 3, [], flag) == 3
+    assert edit_distance("abc", "", flag) == 3
