@@ -78,8 +78,7 @@ class MultiHeadDecoder:
     ) -> "MultiHeadDecoder":
         rng = CounterRng(seed, stream=0xDEC0DE)
         def draw(shape):
-            flat = np.array([rng.gauss() for _ in range(int(np.prod(shape)))])
-            return init_scale * flat.reshape(shape)
+            return init_scale * rng.normals(int(np.prod(shape))).reshape(shape)
         return cls(
             feature_dim=feature_dim,
             verb_weights=draw((num_steps, feature_dim, c_verb)),

@@ -11,11 +11,23 @@ counter:
 finalize(x) is the standard splitmix64 output mix (xor-shift / multiply).
 Every operation is exact 64-bit integer arithmetic, so results do not depend
 on C library or hardware details.
+
+Because output ``i`` depends on the counter alone, a block of outputs is one
+vectorised finalize over ``arange(i0, i1)`` in numpy ``uint64`` (which wraps
+mod 2**64 exactly as the masked scalar code does).  :meth:`CounterRng.normals`
+uses that to draw ``n`` Gaussians at once, bit for bit equal to ``n``
+successive :meth:`CounterRng.gauss` calls: the integer work, ``sqrt`` and the
+multiplies are numpy (all correctly rounded), while ``log``, ``cos`` and
+``sin`` stay with the ``math`` module, mapped over Python floats, because
+numpy's SIMD transcendentals are not guaranteed to round like libm and do
+differ from it in the last bit on some inputs and hosts.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -41,6 +53,15 @@ class CounterRng:
         value = _finalize(self._base + self._counter * _GOLDEN)
         self._counter += 1
         return value
+
+    def _next_u64_block(self, m: int) -> np.ndarray:
+        """The next ``m`` :meth:`next_u64` values as one ``uint64`` array."""
+        counters = np.arange(self._counter, self._counter + m, dtype=np.uint64)
+        self._counter += m
+        x = np.uint64(self._base) + counters * np.uint64(_GOLDEN)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 bits of precision."""
@@ -68,6 +89,31 @@ class CounterRng:
         self._gauss_spare = radius * math.sin(theta)
         return radius * math.cos(theta)
 
+    def normals(self, n: int) -> np.ndarray:
+        """``n`` successive :meth:`gauss` values, bit for bit, as one array;
+        the generator is left exactly as those calls would leave it."""
+        out = np.empty(n)
+        start = 0
+        if n and self._gauss_spare is not None:
+            out[0] = self._gauss_spare
+            self._gauss_spare = None
+            start = 1
+        pairs = (n - start + 1) // 2
+        if pairs:
+            u = (self._next_u64_block(2 * pairs) >> np.uint64(11)) * (1.0 / (1 << 53))
+            u1, u2 = u[0::2], u[1::2]
+            u1[u1 == 0.0] = 2.0 ** -53
+            logs = np.fromiter(map(math.log, u1.tolist()), np.float64, pairs)
+            radius = np.sqrt(-2.0 * logs)
+            theta = (2.0 * math.pi * u2).tolist()
+            values = np.empty(2 * pairs)
+            values[0::2] = radius * np.fromiter(map(math.cos, theta), np.float64, pairs)
+            values[1::2] = radius * np.fromiter(map(math.sin, theta), np.float64, pairs)
+            out[start:] = values[: n - start]
+            if (n - start) % 2:
+                self._gauss_spare = float(values[-1])
+        return out
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):
@@ -77,6 +123,8 @@ class CounterRng:
     def choice_from_cdf(self, probs) -> int:
         """Inverse-CDF draw over class index order (lowest index on ties)."""
         u = self.uniform()
+        # Python floats: iterating an ndarray would box one numpy scalar per entry
+        probs = probs.tolist() if isinstance(probs, np.ndarray) else list(probs)
         total = 0.0
         for i, p in enumerate(probs):
             total += p

@@ -17,7 +17,9 @@ independent of scheduling order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -41,6 +43,14 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int":
+                ok, what = isinstance(value, int), "an integer"
+            else:
+                ok, what = isinstance(value, Real) and math.isfinite(value), "a finite number"
+            if isinstance(value, bool) or not ok:
+                raise TypeError(f"{field.name} must be {what}, got {value!r}")
         if min(self.c_verb, self.c_noun, self.num_sequences) < 1:
             raise ValueError("class and sequence counts must be >= 1")
         if self.seq_len < 2:
@@ -125,18 +135,17 @@ def corrupt_to_logits_sized(
         raise ValueError("sigma must be nonnegative")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    rng = CounterRng(seed, stream=stream)
     z = len(truth.actions)
     verb_logits = np.zeros((z, c_verb))
     noun_logits = np.zeros((z, c_noun))
     for step, action in enumerate(truth.actions):
         verb_logits[step, action.verb_id] = scale
         noun_logits[step, action.noun_id] = scale
-    # fixed draw order: all verb entries row-major, then all noun entries
-    for matrix in (verb_logits, noun_logits):
-        for step in range(z):
-            for c in range(matrix.shape[1]):
-                matrix[step, c] += sigma * rng.gauss()
+    # fixed draw order: all verb entries row-major, then all noun entries;
+    # adding to the zeros keeps sigma = 0 noise at +0.0
+    noise = sigma * CounterRng(seed, stream=stream).normals(z * (c_verb + c_noun))
+    verb_logits += noise[: z * c_verb].reshape(z, c_verb)
+    noun_logits += noise[z * c_verb :].reshape(z, c_noun)
     return LogitsTensor(example_id=truth.episode_id, verb_logits=verb_logits, noun_logits=noun_logits)
 
 

@@ -7,6 +7,9 @@ with the package proper.
 from functools import lru_cache
 
 import mpmath
+import numpy as np
+
+from seqpost.rng import CounterRng
 
 
 def recursive_edit_distance(a, b, allow_transposition):
@@ -82,3 +85,21 @@ def count_stats(corpus, c_verb, c_noun):
                 noun_bi[prev.noun_id][action.noun_id] += 1
             prev = action
     return verb_uni, noun_uni, verb_bi, noun_bi, vn
+
+
+def corrupt_logits_loop(actions, sigma, scale, seed, c_verb, c_noun, stream=0):
+    """(verb, noun) logits of ``synth.corrupt_to_logits_sized`` by a triple
+    loop: one scalar ``CounterRng.gauss()`` per entry, all verb entries
+    row-major, then all noun entries."""
+    rng = CounterRng(seed, stream=stream)
+    z = len(actions)
+    verb_logits = np.zeros((z, c_verb))
+    noun_logits = np.zeros((z, c_noun))
+    for step, action in enumerate(actions):
+        verb_logits[step, action.verb_id] = scale
+        noun_logits[step, action.noun_id] = scale
+    for matrix in (verb_logits, noun_logits):
+        for step in range(z):
+            for c in range(matrix.shape[1]):
+                matrix[step, c] += sigma * rng.gauss()
+    return verb_logits, noun_logits

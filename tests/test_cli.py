@@ -369,6 +369,13 @@ def test_synth_config_rejects_bad_num_patterns(workspace, capsys, k):
     _assert_rejected_before_writing(workspace, capsys, {"num_patterns": k}, "num_patterns")
 
 
+@pytest.mark.parametrize(
+    "key, value", [("seq_len", 2.5), ("num_sequences", 2.5), ("rng_seed", "x"), ("c_verb", True)]
+)
+def test_synth_config_rejects_mistyped_field(workspace, capsys, key, value):
+    _assert_rejected_before_writing(workspace, capsys, {key: value}, key)
+
+
 def test_synth_config_rejects_unknown_mode(workspace, capsys):
     _assert_rejected_before_writing(workspace, capsys, {"mode": "npmi"}, "mode")
 

@@ -262,3 +262,14 @@ def test_checkpoint_roundtrip():
     assert back.feature_dim == 4
     assert np.array_equal(dec.verb_weights, back.verb_weights)
     assert np.array_equal(dec.noun_biases, back.noun_biases)
+
+
+@pytest.mark.parametrize("feature_dim, num_steps, c_verb, c_noun", [(3, 1, 3, 5), (5, 3, 7, 3), (1, 1, 1, 1)])
+def test_init_weights_equal_scalar_gauss_reference(feature_dim, num_steps, c_verb, c_noun):
+    # odd tensor sizes: the Box-Muller spare of the verb tensor starts the noun tensor
+    decoder = MultiHeadDecoder.init(feature_dim, num_steps, c_verb, c_noun, seed=4, init_scale=0.05)
+    rng = CounterRng(4, stream=0xDEC0DE)
+    for weights, c in ((decoder.verb_weights, c_verb), (decoder.noun_weights, c_noun)):
+        shape = (num_steps, feature_dim, c)
+        flat = np.array([rng.gauss() for _ in range(int(np.prod(shape)))])
+        assert weights.tobytes() == (0.05 * flat.reshape(shape)).tobytes()

@@ -1,3 +1,7 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from seqpost.rng import CounterRng
 
 
@@ -64,3 +68,93 @@ def test_choice_from_cdf_never_returns_zero_mass_class():
     rng = CounterRng(0)
     rng.uniform = lambda: 1.0 - 2.0 ** -53
     assert rng.choice_from_cdf([0.1] * 10 + [0.0]) == 9
+
+
+def test_block_u64_matches_frozen_values():
+    rng = CounterRng(0)
+    assert rng._next_u64_block(3).tolist() == [
+        1151600336674127405,
+        7971970674885184466,
+        6901222231710189872,
+    ]
+    assert rng._counter == 3
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(0, 40), st.integers(0, 300))
+def test_block_uniforms_equal_scalar_uniforms(seed, stream, skip, m):
+    block, scalar = CounterRng(seed, stream), CounterRng(seed, stream)
+    for rng in (block, scalar):
+        for _ in range(skip):
+            rng.next_u64()
+    expected = [scalar.uniform() for _ in range(m)]
+    assert ((block._next_u64_block(m) >> np.uint64(11)) * 2.0 ** -53).tolist() == expected
+    assert block.next_u64() == scalar.next_u64()
+
+
+def _state(rng):
+    spare = rng._gauss_spare
+    return rng._counter, None if spare is None else spare.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(0, 257), st.booleans())
+def test_normals_equal_successive_gauss_calls(seed, stream, n, pending_spare):
+    block, scalar = CounterRng(seed, stream), CounterRng(seed, stream)
+    if pending_spare:
+        block.gauss()
+        scalar.gauss()
+    values = block.normals(n)
+    assert values.dtype == np.float64 and values.shape == (n,)
+    assert values.tobytes() == np.array([scalar.gauss() for _ in range(n)], dtype=np.float64).tobytes()
+    assert _state(block) == _state(scalar)
+    assert block.uniform().hex() == scalar.uniform().hex()
+    assert block.gauss().hex() == scalar.gauss().hex()
+    assert _state(block) == _state(scalar)
+
+
+class _Scripted(CounterRng):
+    """Replays fixed 64-bit outputs through both the scalar and the block path."""
+
+    def __init__(self, outputs):
+        super().__init__(0)
+        self._outputs = outputs
+
+    def next_u64(self):
+        self._counter += 1
+        return self._outputs[self._counter - 1]
+
+    def _next_u64_block(self, m):
+        self._counter += m
+        return np.array(self._outputs[self._counter - m : self._counter], dtype=np.uint64)
+
+
+def test_normals_keep_the_zero_uniform_nudge():
+    # u1 == 0 (an output below 2**11) takes the nudged log(2**-53) on both paths
+    outputs = [0, 2**63, 2**11 - 1, 0, 2**64 - 1, 2**64 - 1]
+    scalar = _Scripted(outputs)
+    expected = np.array([scalar.gauss() for _ in range(5)])
+    values = _Scripted(outputs).normals(5)
+    assert np.isfinite(values).all()
+    assert values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_choice_from_cdf_on_an_array_equals_a_numpy_scalar_walk(seed, weights, normalise):
+    row = np.array(weights)
+    if normalise and row.sum() > 0:
+        row = row / row.sum()
+    u = CounterRng(seed).uniform()
+    total = 0.0
+    for expected, p in enumerate(row):  # numpy float64 scalars
+        total += p
+        if u < total:
+            break
+    else:
+        expected = max((i for i, p in enumerate(row) if p > 0), default=0)
+    assert CounterRng(seed).choice_from_cdf(row) == expected

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqpost.refine import PredictionConfig
+from seqpost.rng import CounterRng
 from seqpost.synth import (
     SynthConfig,
     corrupt_to_logits_sized,
@@ -11,9 +12,9 @@ from seqpost.synth import (
     run_refinement_experiment,
     sharpness_for_mass,
 )
-from seqpost.vocab import ActionSequence, validate_sequence
+from seqpost.vocab import Action, ActionSequence, validate_sequence
 
-from oracles import count_stats
+from oracles import corrupt_logits_loop, count_stats
 
 
 def test_sharpness_uniform_when_one():
@@ -148,3 +149,44 @@ def test_config_validation():
         SynthConfig(verb_noun_coupling=1.5)
     with pytest.raises(ValueError):
         SynthConfig(logit_noise_sigma=-1.0)
+
+
+@pytest.mark.parametrize(
+    "z, c_verb, c_noun, sigma, scale, seed, stream",
+    [
+        (5, 3, 4, 1.0, 1.0, 9, 0),  # odd z*c_verb: the Box-Muller spare crosses from verb to noun
+        (6, 3, 5, 0.7, 2.5, 1, 17),
+        (7, 1, 1, 1.0, 1.0, 3, 2),
+        (1, 1, 2, 2.0, 1.0, 0, 5),
+        (5, 3, 4, 0.0, 1.0, 9, 0),  # sigma = 0: every non-truth entry stays +0.0
+        (0, 3, 4, 1.0, 1.0, 2, 0),
+        (20, 115, 478, 1.0, 1.0, 7, 400),  # the benchmark's synth size
+    ],
+)
+def test_corrupt_equals_scalar_triple_loop(z, c_verb, c_noun, sigma, scale, seed, stream):
+    rng = CounterRng(seed + 1000, stream=stream)
+    actions = tuple(Action(rng.randint(c_verb), rng.randint(c_noun)) for _ in range(z))
+    logits = corrupt_to_logits_sized(
+        ActionSequence("e", actions), sigma, scale, seed, c_verb, c_noun, stream=stream
+    )
+    verb, noun = corrupt_logits_loop(actions, sigma, scale, seed, c_verb, c_noun, stream=stream)
+    assert logits.verb_logits.tobytes() == verb.tobytes()
+    assert logits.noun_logits.tobytes() == noun.tobytes()
+    assert logits.verb_logits.shape == (z, c_verb) and logits.noun_logits.shape == (z, c_noun)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("c_verb", True),
+        ("seq_len", 2.5),
+        ("num_sequences", "3"),
+        ("rng_seed", "x"),
+        ("transition_sharpness", float("inf")),
+        ("verb_noun_coupling", False),
+        ("logit_noise_sigma", "1.0"),
+    ],
+)
+def test_config_rejects_mistyped_fields(field, value):
+    with pytest.raises(TypeError, match=f"^{field} must be"):
+        SynthConfig(**{field: value})
