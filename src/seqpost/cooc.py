@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,8 +39,8 @@ class SmoothingConfig:
     prob_clamp_max: float = 1.0 - 1e-6
 
     def __post_init__(self):
-        if self.add_k < 0:
-            raise ValueError("add_k must be nonnegative")
+        if not 0 <= self.add_k < math.inf:
+            raise ValueError(f"add_k must be nonnegative and finite, got {self.add_k}")
         if not (0.0 < self.prob_clamp_min < 0.5):
             raise ValueError("prob_clamp_min must lie in (0, 0.5)")
         if not (0.5 < self.prob_clamp_max < 1.0):
@@ -55,10 +56,9 @@ class CoocStats:
     verb_given_noun: np.ndarray  # (C_noun, C_verb), row-stochastic
     smoothing: SmoothingConfig
     corpus_fingerprint: str
-    # transition_score_row's memo: (axis, mode) -> ((C, C) table, per-prev
-    # row view or None). One table per (axis, mode), not one array per row,
-    # because hundreds of small long-lived arrays fragment the heap of a
-    # process that refines repeatedly. replace() starts with an empty memo.
+    # transition_score_row's memo: (axis, mode) -> the row views of that
+    # pair's read-only (C, C) score table, built whole on first use.
+    # replace() starts with an empty memo.
     _score_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -109,7 +109,7 @@ class CoocStats:
     def from_json(cls, text: str) -> "CoocStats":
         obj = json.loads(text)
         smoothing = SmoothingConfig(**obj["smoothing"])
-        return cls(
+        stats = cls(
             verb_marginal=np.array(obj["verb_marginal"], dtype=np.float64),
             noun_marginal=np.array(obj["noun_marginal"], dtype=np.float64),
             verb_transition=np.array(obj["verb_transition"], dtype=np.float64),
@@ -118,6 +118,12 @@ class CoocStats:
             smoothing=smoothing,
             corpus_fingerprint=obj["corpus_fingerprint"],
         )
+        if (obj["c_verb"], obj["c_noun"]) != (stats.c_verb, stats.c_noun):
+            raise ValueError(
+                f"c_verb {obj['c_verb']!r} and c_noun {obj['c_noun']!r} do not match the "
+                f"{stats.c_verb} verb and {stats.c_noun} noun marginal entries"
+            )
+        return stats
 
 
 def corpus_fingerprint(corpus: list[ActionSequence]) -> str:
@@ -192,30 +198,23 @@ def transition_score_row(
 ) -> np.ndarray:
     """Indicator scores for all successor classes of ``prev`` on one axis.
 
-    Each row is computed once per ``stats`` and returned as a read-only view."""
-    cache = stats._score_rows.get((axis, mode))
-    if cache is None:
-        c = stats.marginal(axis).shape[0]
-        cache = stats._score_rows[(axis, mode)] = (np.empty((c, c)), [None] * c)
-    table, rows = cache
-    row = rows[prev]
-    if row is not None:
-        return row
-    lo, hi = stats.smoothing.prob_clamp_min, stats.smoothing.prob_clamp_max
-    marginal = stats.marginal(axis)
-    cond = stats.transition(axis)[prev]
-    m_prev = min(max(float(marginal[prev]), lo), hi)
-    m_next = np.clip(marginal, lo, hi)
-    if mode is IndicatorMode.AS_WRITTEN:
-        num = np.clip(cond, lo, hi)
-    else:
-        num = np.clip(cond * float(marginal[prev]), lo, hi)
-    log_num = np.log(num)
-    row = table[prev]
-    row[...] = (log_num - np.log(m_prev * m_next)) / -log_num
-    row.flags.writeable = False
-    rows[prev] = row
-    return row
+    The first call for an ``(axis, mode)`` computes that pair's whole (C, C)
+    table; every call returns a read-only row view of it."""
+    rows = stats._score_rows.get((axis, mode))
+    if rows is None:
+        lo, hi = stats.smoothing.prob_clamp_min, stats.smoothing.prob_clamp_max
+        marginal = stats.marginal(axis)
+        transition = stats.transition(axis)
+        clamped = np.clip(marginal, lo, hi)
+        if mode is IndicatorMode.AS_WRITTEN:
+            num = np.clip(transition, lo, hi)
+        else:
+            num = np.clip(transition * marginal[:, None], lo, hi)
+        log_num = np.log(num)
+        table = (log_num - np.log(clamped[:, None] * clamped)) / -log_num
+        table.flags.writeable = False
+        rows = stats._score_rows[(axis, mode)] = list(table)
+    return rows[prev]
 
 
 def transition_score(

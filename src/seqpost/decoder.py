@@ -21,7 +21,7 @@ import numpy as np
 
 from .ensemble import LogitsTensor, softmax_rows
 from .rng import CounterRng
-from .vocab import Action, ActionSequence, iter_jsonl
+from .vocab import ActionSequence, iter_jsonl, parse_actions
 
 _LOG_FLOOR = 1e-12
 
@@ -200,6 +200,7 @@ def train(
     mean per-example loss for each epoch."""
     if not dataset:
         raise ValueError("empty dataset")
+    c_verb, c_noun = dec.verb_weights.shape[2], dec.noun_weights.shape[2]
     for features, seq in dataset:
         features = np.asarray(features)
         if features.shape != (dec.feature_dim,):
@@ -212,6 +213,15 @@ def train(
                 f"episode {seq.episode_id!r}: sequence length {len(seq.actions)} "
                 f"!= decoder steps {dec.num_steps}"
             )
+        for action in seq.actions:
+            for axis, class_id, classes in (
+                ("verb", action.verb_id, c_verb), ("noun", action.noun_id, c_noun)
+            ):
+                if not 0 <= class_id < classes:
+                    raise ValueError(
+                        f"episode {seq.episode_id!r}: {axis}_id {class_id} out of range "
+                        f"[0, {classes}) of the decoder"
+                    )
 
     dec = dec.copy()
     rng = CounterRng(cfg.rng_seed, stream=0x7E41)
@@ -238,7 +248,7 @@ def load_train_dataset(path: str) -> list[tuple[np.ndarray, ActionSequence]]:
     for lineno, obj in iter_jsonl(path):
         try:
             features = np.array(obj["features"], dtype=np.float64)
-            actions = tuple(Action(int(v), int(n)) for v, n in obj["actions"])
+            actions = parse_actions(obj["actions"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad training record: {exc}") from exc
         dataset.append((features, ActionSequence(episode_id=f"line{lineno}", actions=actions)))

@@ -27,7 +27,7 @@ import numpy as np
 from .cooc import CoocStats, IndicatorMode, transition_score_row
 from .ensemble import StepDistributions
 from .rng import CounterRng
-from .vocab import Action, load_records
+from .vocab import Action, load_records, parse_actions
 
 TIER_RAW_ARGMAX = "raw_argmax"
 TIER_REFINED_ARGMAX = "refined_argmax"
@@ -68,10 +68,7 @@ class PredictionSet:
     def from_obj(cls, obj: dict) -> "PredictionSet":
         return cls(
             example_id=obj["example_id"],
-            patterns=tuple(
-                tuple(Action(int(v), int(n)) for v, n in pattern)
-                for pattern in obj["patterns"]
-            ),
+            patterns=tuple(parse_actions(pattern) for pattern in obj["patterns"]),
             tiers=tuple(obj["tiers"]),
         )
 
@@ -118,14 +115,9 @@ def _reweight(
     return probs, True
 
 
-def _argmax(probs: np.ndarray) -> int:
-    # np.argmax already returns the lowest index on ties
-    return int(np.argmax(probs))
-
-
 def _pick(probs: np.ndarray, rng: Optional[CounterRng]) -> int:
     if rng is None:
-        return _argmax(probs)
+        return int(probs.argmax())
     return rng.choice_from_cdf(probs)
 
 
@@ -173,11 +165,10 @@ def generate_patterns(
     patterns: list[tuple[Action, ...]] = []
     tiers: list[str] = []
 
-    raw = tuple(
-        Action(_argmax(dists.verb_probs[z]), _argmax(dists.noun_probs[z]))
-        for z in range(cfg.num_steps)
-    )
-    patterns.append(raw)
+    # argmax returns the lowest index on ties
+    verbs = dists.verb_probs.argmax(axis=1).tolist()
+    nouns = dists.noun_probs.argmax(axis=1).tolist()
+    patterns.append(tuple(map(Action, verbs, nouns)))
     tiers.append(TIER_RAW_ARGMAX)
 
     if cfg.num_patterns >= 2:

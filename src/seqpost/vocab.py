@@ -47,6 +47,20 @@ class Action:
     noun_id: int
 
 
+def parse_actions(pairs) -> tuple[Action, ...]:
+    """``[[verb_id, noun_id], ...]`` as Actions; each id must be a JSON
+    integer, so a bool, float or string raises ValueError."""
+    actions = []
+    for pair in pairs:
+        if not (
+            isinstance(pair, list) and len(pair) == 2
+            and type(pair[0]) is int and type(pair[1]) is int
+        ):
+            raise ValueError(f"action {pair!r} is not a [verb_id, noun_id] pair of integers")
+        actions.append(Action(pair[0], pair[1]))
+    return tuple(actions)
+
+
 @dataclass(frozen=True)
 class ActionSequence:
     episode_id: str
@@ -74,7 +88,7 @@ class ActionSequence:
     def from_obj(cls, obj: dict) -> "ActionSequence":
         return cls(
             episode_id=obj["episode_id"],
-            actions=tuple(Action(int(v), int(n)) for v, n in obj["actions"]),
+            actions=parse_actions(obj["actions"]),
         )
 
 

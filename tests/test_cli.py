@@ -290,7 +290,9 @@ def test_vocabulary_without_kind_is_one_error_line(workspace, capsys):
     (lambda obj: obj.pop("verb_given_noun"), "'verb_given_noun'"),
     (lambda obj: obj.update(verb_given_noun=obj["verb_given_noun"][:2]),
      "verb_given_noun has shape (2, 4), expected (4, 4)"),
-], ids=["missing_table", "short_table"])
+    (lambda obj: obj.update(c_verb=99),
+     "c_verb 99 and c_noun 4 do not match the 4 verb and 4 noun marginal entries"),
+], ids=["missing_table", "short_table", "wrong_class_count"])
 def test_malformed_stats_is_one_error_line(workspace, capsys, corrupt, message):
     assert _build_stats(workspace) == 0
     obj = json.loads((workspace / "stats.json").read_text())
@@ -396,3 +398,87 @@ def test_eval_duplicate_prediction_id_is_one_error_line(workspace, capsys):
     example_id = json.loads(lines[0])["example_id"]
     assert err == f"error: duplicate example_id {example_id!r} in the predictions\n"
     assert not (workspace / "dup_report.json").exists()
+
+
+NON_INTEGER_IDS = [1.7, "3", True]
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad_id", NON_INTEGER_IDS)
+def test_corpus_non_integer_id_is_one_error_line(workspace, capsys, bad_id):
+    bad = workspace / "floaty.jsonl"
+    bad.write_text(
+        '{"episode_id": "ok", "actions": [[0, 0]]}\n'
+        + json.dumps({"episode_id": "e", "actions": [[0, 1], [bad_id, 2]]}) + "\n"
+    )
+    assert _stats_cmd(workspace, train="floaty.jsonl") == 1
+    _one_error_line(capsys, f"{bad}:2: bad sequence record: ")
+    assert not (workspace / "unused.json").exists()
+
+
+@pytest.mark.parametrize("bad_id", NON_INTEGER_IDS)
+def test_predictions_non_integer_id_is_one_error_line(workspace, capsys, bad_id):
+    assert _build_stats(workspace) == 0
+    assert _run_pipeline(workspace, "preds.jsonl") == 0
+    lines = (workspace / "preds.jsonl").read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["patterns"][0][0] = [bad_id, 2]
+    lines[1] = json.dumps(obj)
+    bad = workspace / "floaty_preds.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main([
+        "eval", "--quiet", "--preds", str(bad),
+        "--truth", str(workspace / "corpus.jsonl"),
+        "--out", str(workspace / "report.json"),
+    ])
+    assert code == 1
+    _one_error_line(capsys, f"{bad}:2: bad prediction record: ")
+    assert not (workspace / "report.json").exists()
+
+
+def _train_cmd(ws, rows, extra=()):
+    data = ws / "train.jsonl"
+    data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return main([
+        "train", "--quiet", "--data", str(data), "--z", "2", "--epochs", "2",
+        "--out", str(ws / "ckpt.json"), *extra,
+    ])
+
+
+@pytest.mark.parametrize("bad_id", NON_INTEGER_IDS)
+def test_training_non_integer_id_is_one_error_line(workspace, capsys, bad_id):
+    rows = [
+        {"features": [1.0, 0.0], "actions": [[0, 1], [1, 0]]},
+        {"features": [0.0, 1.0], "actions": [[1, 1], [bad_id, 2]]},
+    ]
+    assert _train_cmd(workspace, rows) == 1
+    _one_error_line(capsys, f"{workspace / 'train.jsonl'}:2: bad training record: ")
+    assert not (workspace / "ckpt.json").exists()
+
+
+@pytest.mark.parametrize("action, message", [
+    ([3, 0], "verb_id 3 out of range [0, 3)"),
+    ([0, -1], "noun_id -1 out of range [0, 2)"),
+], ids=["verb_id_too_large", "negative_noun_id"])
+def test_train_class_id_outside_decoder_is_one_error_line(workspace, capsys, action, message):
+    rows = [
+        {"features": [1.0, 0.0], "actions": [[0, 1], [1, 0]]},
+        {"features": [0.0, 1.0], "actions": [[2, 1], action]},
+    ]
+    assert _train_cmd(workspace, rows, ["--c-verb", "3", "--c-noun", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: episode 'line2': {message} of the decoder\n"
+    assert not (workspace / "ckpt.json").exists()
+
+
+@pytest.mark.parametrize("add_k", ["inf", "nan"])
+def test_stats_non_finite_add_k_is_one_error_line(workspace, capsys, add_k):
+    assert _build_stats(workspace, extra=["--add-k", add_k]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: add_k must be nonnegative and finite, got {float(add_k)}\n"
+    assert not (workspace / "stats.json").exists()

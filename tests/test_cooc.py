@@ -225,9 +225,45 @@ def _fresh_score_row(stats, prev, axis, mode):
     return (log_num - np.log(m_prev * m_next)) / -log_num
 
 
-@pytest.mark.parametrize("mode", list(IndicatorMode))
-def test_memoised_score_rows_equal_fresh_rows_bytewise(mode):
-    stats = _stats_for(_random_corpus(3))
+def _lta_sized_stats(c_verb=115, c_noun=478):
+    """Stats at the Ego4D-LTA vocabulary sizes whose tables hold zeros and
+    entries below prob_clamp_min and above prob_clamp_max."""
+    gen = np.random.default_rng(11)
+
+    def table(rows, cols):
+        t = gen.random((rows, cols)) ** 4
+        t[gen.random((rows, cols)) < 0.2] = 0.0
+        t[::7] = 0.0
+        t[::7, 3] = 1.0  # point-mass rows: 1.0 and 0.0 clamp at both ends
+        return t / t.sum(axis=1, keepdims=True)
+
+    def marginal(c):
+        m = gen.random(c) * 1e-3
+        m[:3] = (0.0, 1e-9, 1.0)
+        return m
+
+    return CoocStats(
+        verb_marginal=marginal(c_verb),
+        noun_marginal=marginal(c_noun),
+        verb_transition=table(c_verb, c_verb),
+        noun_transition=table(c_noun, c_noun),
+        verb_given_noun=table(c_noun, c_verb),
+        smoothing=SmoothingConfig(),
+        corpus_fingerprint="lta-sized",
+    )
+
+
+@pytest.mark.parametrize("mode, lta_sized", [
+    *(pytest.param(mode, False, id=str(mode)) for mode in IndicatorMode),
+    *(pytest.param(mode, True, id=f"115x478-{mode}") for mode in IndicatorMode),
+])
+def test_memoised_score_rows_equal_fresh_rows_bytewise(mode, lta_sized):
+    stats = _lta_sized_stats() if lta_sized else _stats_for(_random_corpus(3))
+    if lta_sized:
+        lo, hi = stats.smoothing.prob_clamp_min, stats.smoothing.prob_clamp_max
+        for axis in ("verb", "noun"):
+            for t in (stats.marginal(axis), stats.transition(axis)):
+                assert (t == 0.0).any() and (t < lo).any() and (t > hi).any()
     for axis, classes in (("verb", stats.c_verb), ("noun", stats.c_noun)):
         for prev in range(classes):
             first = transition_score_row(stats, prev, axis, mode)

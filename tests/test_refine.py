@@ -130,8 +130,31 @@ def _corpus_stats(seed=0, c_verb=3, c_noun=4):
     return build_stats(corpus, vv, nv, SmoothingConfig())
 
 
-def test_k1_truncates_to_raw_argmax():
-    dists = _synthetic_dists(1)
+def _tied_dists():
+    """Uniform rows and rows whose maximum appears twice or three times."""
+    verb = np.array([
+        [1 / 3, 1 / 3, 1 / 3],
+        [0.1, 0.45, 0.45],
+        [0.4, 0.2, 0.4],
+        [0.2, 0.4, 0.4],
+        [0.5, 0.5, 0.0],
+        [1 / 3, 1 / 3, 1 / 3],
+    ])
+    noun = np.array([
+        [0.25, 0.25, 0.25, 0.25],
+        [0.1, 0.3, 0.3, 0.3],
+        [0.0, 0.4, 0.2, 0.4],
+        [0.3, 0.1, 0.3, 0.3],
+        [0.0, 0.0, 0.5, 0.5],
+        [0.25, 0.25, 0.25, 0.25],
+    ])
+    return StepDistributions("ties", verb, noun)
+
+
+@pytest.mark.parametrize(
+    "dists", [_synthetic_dists(1), _tied_dists()], ids=["synthetic", "ties"]
+)
+def test_k1_truncates_to_raw_argmax(dists):
     preds = generate_patterns(dists, _corpus_stats(), PredictionConfig(6, 1))
     assert preds.tiers == (TIER_RAW_ARGMAX,)
     assert len(preds.patterns) == 1
