@@ -1,9 +1,10 @@
 """Command-line surface tying the pipeline together.
 
-Subcommands: stats, ensemble, refine (alias: pipeline), train, eval, synth.
-All inter-stage formats are line-delimited JSON; every command is seeded and
-writes a run manifest with the digests of its inputs and outputs, so any
-published number is reproducible from the files alone.
+Subcommands: stats, ensemble, refine, train, eval, synth. All inter-stage
+formats are line-delimited JSON. Each command returns the files it wrote, and
+``main`` then writes its run manifest from the parsed options: the digests of
+the input-path options and of those files, every other option as config, and
+the seed, so any published number is reproducible from the files alone.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ class CliError(Exception):
     pass
 
 
+class InPath(str):
+    """Type of an option naming a file the command reads; its digest is an input."""
+
+
+class OutPath(str):
+    """Type of an option naming a file, or a file prefix, the command writes."""
+
+
 def _sha256_file(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -54,14 +63,28 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, command, seed, inputs, config, outputs):
-    """Manifest at --manifest, or beside the command's first output."""
+def _path_dests(parser) -> set[str]:
+    """The dest of every InPath or OutPath option of ``parser`` and its subcommands."""
+    dests = {action.dest for action in parser._actions if action.type in (InPath, OutPath)}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests |= _path_dests(sub)
+    return dests
+
+
+def _write_manifest(args, path_dests, outputs, file_config, seed):
+    """Manifest at --manifest, or beside the command's first output: digests of
+    the given InPath options and of ``outputs``, every other option but
+    --quiet as config (with a synth config file's keys), and the seed."""
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("command", "synth_command", "func", "quiet")}
     manifest = {
         "tool": f"seqpost {__version__}",
-        "command": command,
+        "command": [args.command] + ([args.synth_command] if args.command == "synth" else []),
         "seed": seed,
-        "inputs": {p: _sha256_file(p) for p in inputs},
-        "config": config,
+        "inputs": {p: _sha256_file(p) for p in options.values() if isinstance(p, InPath)},
+        "config": {**{k: v for k, v in options.items() if k not in path_dests}, **file_config},
         "outputs": {p: _sha256_file(p) for p in outputs},
     }
     with open(args.manifest or outputs[0] + ".manifest.json", "w") as handle:
@@ -76,10 +99,10 @@ def _say(args, message):
 
 def _load_file(path: str, parse, kind: str):
     """``parse`` applied to a whole JSON file; a malformed one is a CliError."""
-    with open(path) as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        return parse(text)
+        return parse(data.decode())
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad {kind} file: {exc}") from exc
 
@@ -88,7 +111,7 @@ def _load_file(path: str, parse, kind: str):
 # stats
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> list[str]:
     verb_vocab = _load_file(args.verb_vocab, Vocabulary.from_json, "vocabulary")
     noun_vocab = _load_file(args.noun_vocab, Vocabulary.from_json, "vocabulary")
     corpus = load_corpus(args.train)
@@ -109,24 +132,14 @@ def cmd_stats(args) -> int:
     n_bigrams = sum(len(seq.actions) - 1 for seq in corpus)
     _say(args, f"vocab sizes: {len(verb_vocab)} verbs, {len(noun_vocab)} nouns")
     _say(args, f"{len(corpus)} sequences, {n_bigrams} bigrams -> {args.out}")
-    inputs = [args.train, args.verb_vocab, args.noun_vocab] + ([args.val] if args.val else [])
-    _write_manifest(
-        args,
-        ["stats"],
-        None,
-        inputs,
-        {"add_k": cfg.add_k, "prob_clamp_min": cfg.prob_clamp_min,
-         "prob_clamp_max": cfg.prob_clamp_max},
-        [args.out],
-    )
-    return 0
+    return [args.out]
 
 
 # ---------------------------------------------------------------------------
 # ensemble
 
 
-def cmd_ensemble(args) -> int:
+def cmd_ensemble(args) -> list[str]:
     a_list = load_logits(args.logits_a)
     b_list = load_logits(args.logits_b)
     if len(a_list) != len(b_list):
@@ -134,26 +147,19 @@ def cmd_ensemble(args) -> int:
     weights = EnsembleWeights(alpha=args.alpha, beta=args.beta)
 
     if args.sweep:
-        return _sweep(args, a_list, b_list)
+        _sweep(args, a_list, b_list)
+        return []
 
     if not args.out:
         raise CliError("--out is required unless --sweep is given")
     combined = [combine_logits(a, b, weights) for a, b in zip(a_list, b_list)]
     dump_logits(combined, args.out)
     _say(args, f"{len(combined)} examples combined (alpha={args.alpha}, beta={args.beta}) -> {args.out}")
-    _write_manifest(
-        args,
-        ["ensemble"],
-        None,
-        [args.logits_a, args.logits_b],
-        {"alpha": args.alpha, "beta": args.beta},
-        [args.out],
-    )
-    return 0
+    return [args.out]
 
 
-def _sweep(args, a_list, b_list) -> int:
-    """Grid search over (alpha, beta) scored by raw-argmax action ED."""
+def _sweep(args, a_list, b_list) -> None:
+    """Grid search over (alpha, beta) scored by raw-argmax action ED; writes no file."""
     if not args.truth:
         raise CliError("--sweep requires --truth")
     truths = load_corpus(args.truth)
@@ -176,19 +182,14 @@ def _sweep(args, a_list, b_list) -> int:
     _, alpha, beta = best
     _say(args, f"best weights by action ED: alpha={alpha} beta={beta} (ed_action={best[0][0]:.4f})")
     print(json.dumps({"alpha": alpha, "beta": beta, "ed_action": best[0][0]}))
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# refine / pipeline
+# refine
 
 
-def cmd_refine(args) -> int:
+def cmd_refine(args) -> list[str]:
     tensors = load_logits(args.logits)
-    config = {
-        "z": args.z, "k": args.k, "seed": args.seed, "mode": args.mode,
-        "alpha": None, "beta": None,
-    }
     if args.logits_b:
         b_list = load_logits(args.logits_b)
         if len(tensors) != len(b_list):
@@ -198,7 +199,6 @@ def cmd_refine(args) -> int:
         for i, b in enumerate(b_list):
             tensors[i] = combine_logits(tensors[i], b, weights)
         del b_list
-        config["alpha"], config["beta"] = args.alpha, args.beta
 
     refining = args.k >= 2
     if refining and not args.stats:
@@ -229,29 +229,31 @@ def cmd_refine(args) -> int:
         pred_sets.append(generate_patterns(dists, stats, pred_cfg, stream=i))
     dump_predictions(pred_sets, args.out)
     _say(args, f"{len(pred_sets)} examples -> {args.out} (Z={args.z}, K={args.k}, seed={args.seed})")
-    inputs = [args.logits] + ([args.logits_b] if args.logits_b else []) + ([args.stats] if args.stats else [])
-    _write_manifest(
-        args,
-        ["refine"],
-        args.seed,
-        inputs,
-        config,
-        [args.out],
-    )
-    return 0
+    return [args.out]
 
 
 # ---------------------------------------------------------------------------
 # train
 
 
-def cmd_train(args) -> int:
+def _class_count(given, flag, ids) -> int:
+    """An explicit class count, which must be >= 1, or one more than the
+    largest id and at least 1, so that ``train`` names a negative id's episode."""
+    if given is None:
+        return max([0, *ids]) + 1
+    if given < 1:
+        raise CliError(f"{flag} must be >= 1, got {given}")
+    return given
+
+
+def cmd_train(args) -> list[str]:
     dataset = load_train_dataset(args.data)
     if not dataset:
         raise CliError("empty training dataset")
     feature_dim = dataset[0][0].shape[0]
-    c_verb = args.c_verb or (max(a.verb_id for _, s in dataset for a in s.actions) + 1)
-    c_noun = args.c_noun or (max(a.noun_id for _, s in dataset for a in s.actions) + 1)
+    actions = [a for _, seq in dataset for a in seq.actions]
+    c_verb = _class_count(args.c_verb, "--c-verb", [a.verb_id for a in actions])
+    c_noun = _class_count(args.c_noun, "--c-noun", [a.noun_id for a in actions])
     dec = MultiHeadDecoder.init(feature_dim, args.z, c_verb, c_noun, seed=args.seed)
     cfg = TrainConfig(
         learning_rate=args.lr,
@@ -265,47 +267,23 @@ def cmd_train(args) -> int:
         handle.write(trained.to_json() + "\n")
     _say(args, f"trained {len(dataset)} examples for {cfg.epochs} epochs; "
                f"loss {history[0]:.4f} -> {history[-1]:.4f} -> {args.out}")
-    _write_manifest(
-        args,
-        ["train"],
-        args.seed,
-        [args.data],
-        {"z": args.z, "smooth": args.smooth, "lr": args.lr,
-         "epochs": args.epochs, "batch_size": args.batch_size},
-        [args.out],
-    )
-    return 0
+    return [args.out]
 
 
 # ---------------------------------------------------------------------------
 # eval
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> list[str]:
     preds = load_predictions(args.preds)
     truths = load_corpus(args.truth)
-    try:
-        report = evaluate_corpus(
-            preds,
-            truths,
-            allow_transposition=not args.no_transposition,
-            keep_per_example=args.per_example,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = evaluate_corpus(preds, truths, allow_transposition=not args.no_transposition,
+                             keep_per_example=args.per_example)
     with open(args.out, "w") as handle:
         handle.write(report.to_json() + "\n")
     _say(args, f"Verb {report.ed_verb:.4f}  Noun {report.ed_noun:.4f}  Action {report.ed_action:.4f}"
                f"  ({report.n_examples} examples, {report.unmatched} unmatched)")
-    _write_manifest(
-        args,
-        ["eval"],
-        None,
-        [args.preds, args.truth],
-        {"no_transposition": args.no_transposition, "per_example": args.per_example},
-        [args.out],
-    )
-    return 0
+    return [args.out]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +323,7 @@ def _load_synth_config(path: str, seed_override) -> tuple[SynthConfig, dict]:
     return _load_file(path, parse, "synth config")
 
 
-def cmd_synth_gen(args) -> int:
+def cmd_synth_gen(args) -> tuple[list[str], dict, int]:
     cfg, raw = _load_synth_config(args.config, args.seed)
     corpus, _ = gen_markov_corpus(cfg)
     dump_corpus(corpus, args.out_corpus)
@@ -368,18 +346,10 @@ def cmd_synth_gen(args) -> int:
                 handle.write(vocab.to_json() + "\n")
             outputs.append(path)
     _say(args, f"{len(corpus)} sequences -> {args.out_corpus}")
-    _write_manifest(
-        args,
-        ["synth", "gen"],
-        cfg.rng_seed,
-        [args.config],
-        raw,
-        outputs,
-    )
-    return 0
+    return outputs, raw, cfg.rng_seed
 
 
-def cmd_synth_experiment(args) -> int:
+def cmd_synth_experiment(args) -> tuple[list[str], dict, int]:
     cfg, raw = _load_synth_config(args.config, args.seed)
     pred_cfg = PredictionConfig(
         num_steps=cfg.seq_len,
@@ -397,15 +367,7 @@ def cmd_synth_experiment(args) -> int:
     ref_ed = report["refined"]["ed_action"]
     _say(args, f"action ED raw {raw_ed:.4f} vs refined {ref_ed:.4f} "
                f"(delta {raw_ed - ref_ed:+.4f}) over {report['n_eval']} episodes")
-    _write_manifest(
-        args,
-        ["synth", "experiment"],
-        cfg.rng_seed,
-        [args.config],
-        raw,
-        [args.out],
-    )
-    return 0
+    return [args.out], raw, cfg.rng_seed
 
 
 # ---------------------------------------------------------------------------
@@ -413,56 +375,54 @@ def cmd_synth_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Options typed InPath or OutPath name files; every other option is config."""
     parser = argparse.ArgumentParser(prog="seqpost", description=__doc__)
     parser.add_argument("--version", action="version", version=f"seqpost {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        p.add_argument("--manifest", help="run manifest path (default: beside the first output, "
-                       "<output>.manifest.json)")
+        p.add_argument("--manifest", type=OutPath, help="run manifest path (default: beside "
+                       "the first output, <output>.manifest.json)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("stats", help="build co-occurrence statistics from a label corpus")
-    p.add_argument("--train", required=True, help="training corpus (JSONL)")
-    p.add_argument("--val", help="optional validation corpus, concatenated with --train")
-    p.add_argument("--verb-vocab", required=True)
-    p.add_argument("--noun-vocab", required=True)
+    p.add_argument("--train", type=InPath, required=True, help="training corpus (JSONL)")
+    p.add_argument("--val", type=InPath, help="optional validation corpus, concatenated with --train")
+    p.add_argument("--verb-vocab", type=InPath, required=True)
+    p.add_argument("--noun-vocab", type=InPath, required=True)
     p.add_argument("--add-k", type=float, default=1.0)
     p.add_argument("--prob-clamp-min", type=float, default=1e-6)
     p.add_argument("--prob-clamp-max", type=float, default=1.0 - 1e-6)
-    p.add_argument("--out", required=True)
-    common(p)
-    p.set_defaults(func=cmd_stats)
+    p.add_argument("--out", type=OutPath, required=True)
+    common(p, cmd_stats)
 
     p = sub.add_parser("ensemble", help="weighted logit combination of two models")
-    p.add_argument("--logits-a", required=True)
-    p.add_argument("--logits-b", required=True)
+    p.add_argument("--logits-a", type=InPath, required=True)
+    p.add_argument("--logits-b", type=InPath, required=True)
     p.add_argument("--alpha", type=float, default=0.6)
     p.add_argument("--beta", type=float, default=1.4)
-    p.add_argument("--out", help="combined logits output (JSONL)")
+    p.add_argument("--out", type=OutPath, help="combined logits output (JSONL)")
     p.add_argument("--sweep", action="store_true",
                    help="grid-search weights over [0,2] step 0.1 against --truth")
-    p.add_argument("--truth", help="truth corpus for --sweep scoring")
-    common(p)
-    p.set_defaults(func=cmd_ensemble)
+    p.add_argument("--truth", type=InPath, help="truth corpus for --sweep scoring")
+    common(p, cmd_ensemble)
 
-    for name in ("refine", "pipeline"):
-        p = sub.add_parser(name, help="optional ensemble -> softmax -> refine -> predictions")
-        p.add_argument("--stats", help="statistics file (required when k >= 2)")
-        p.add_argument("--logits", required=True)
-        p.add_argument("--logits-b", help="second model's logits; enables the ensemble stage")
-        p.add_argument("--alpha", type=float, default=0.6)
-        p.add_argument("--beta", type=float, default=1.4)
-        p.add_argument("--z", type=int, default=20, help="steps per pattern")
-        p.add_argument("--k", type=int, default=5, help="patterns per example")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=["as_written", "standard_npmi"], default="as_written")
-        p.add_argument("--out", required=True)
-        common(p)
-        p.set_defaults(func=cmd_refine)
+    p = sub.add_parser("refine", help="optional ensemble -> softmax -> refine -> predictions")
+    p.add_argument("--stats", type=InPath, help="statistics file (required when k >= 2)")
+    p.add_argument("--logits", type=InPath, required=True)
+    p.add_argument("--logits-b", type=InPath, help="second model's logits; enables the ensemble stage")
+    p.add_argument("--alpha", type=float, default=0.6)
+    p.add_argument("--beta", type=float, default=1.4)
+    p.add_argument("--z", type=int, default=20, help="steps per pattern")
+    p.add_argument("--k", type=int, default=5, help="patterns per example")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=["as_written", "standard_npmi"], default="as_written")
+    p.add_argument("--out", type=OutPath, required=True)
+    common(p, cmd_refine)
 
     p = sub.add_parser("train", help="train the toy multi-head decoder")
-    p.add_argument("--data", required=True, help="JSONL of {features, actions}")
+    p.add_argument("--data", type=InPath, required=True, help="JSONL of {features, actions}")
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--smooth", choices=["on", "off"], default="off")
     p.add_argument("--seed", type=int, default=0)
@@ -471,50 +431,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--c-verb", type=int, help="verb class count (default: inferred)")
     p.add_argument("--c-noun", type=int, help="noun class count (default: inferred)")
-    p.add_argument("--out", required=True, help="decoder checkpoint (JSON)")
-    common(p)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--out", type=OutPath, required=True, help="decoder checkpoint (JSON)")
+    common(p, cmd_train)
 
     p = sub.add_parser("eval", help="min-over-K normalized edit-distance report")
-    p.add_argument("--preds", required=True)
-    p.add_argument("--truth", required=True)
+    p.add_argument("--preds", type=InPath, required=True)
+    p.add_argument("--truth", type=InPath, required=True)
     p.add_argument("--no-transposition", action="store_true",
                    help="plain Levenshtein instead of restricted Damerau-Levenshtein")
     p.add_argument("--per-example", action="store_true")
-    p.add_argument("--out", required=True)
-    common(p)
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--out", type=OutPath, required=True)
+    common(p, cmd_eval)
 
     p = sub.add_parser("synth", help="synthetic corpora and the refinement experiment")
     synth_sub = p.add_subparsers(dest="synth_command", required=True)
 
     g = synth_sub.add_parser("gen", help="generate a corpus (and optional logits/vocabs)")
-    g.add_argument("--config", required=True, help="SynthConfig JSON")
+    g.add_argument("--config", type=InPath, required=True, help="SynthConfig JSON")
     g.add_argument("--seed", type=int, help="override rng_seed from the config")
-    g.add_argument("--out-corpus", required=True)
-    g.add_argument("--out-logits")
-    g.add_argument("--out-vocab-prefix")
-    common(g)
-    g.set_defaults(func=cmd_synth_gen)
+    g.add_argument("--out-corpus", type=OutPath, required=True)
+    g.add_argument("--out-logits", type=OutPath)
+    g.add_argument("--out-vocab-prefix", type=OutPath)
+    common(g, cmd_synth_gen)
 
     e = synth_sub.add_parser("experiment", help="raw vs refined decoding experiment")
-    e.add_argument("--config", required=True, help="SynthConfig JSON (+ num_patterns, mode)")
+    e.add_argument("--config", type=InPath, required=True, help="SynthConfig JSON (+ num_patterns, mode)")
     e.add_argument("--seed", type=int, help="override rng_seed from the config")
     e.add_argument("--per-example", action="store_true")
-    e.add_argument("--out", required=True)
-    common(e)
-    e.set_defaults(func=cmd_synth_experiment)
+    e.add_argument("--out", type=OutPath, required=True)
+    common(e, cmd_synth_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command, then write its manifest if it wrote any file. A
+    command returns those files, or for synth (files, config file, seed)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        outputs, file_config, seed = (
+            result if isinstance(result, tuple) else (result, {}, getattr(args, "seed", None))
+        )
+        if outputs:
+            _write_manifest(args, _path_dests(parser), outputs, file_config, seed)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

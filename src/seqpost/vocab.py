@@ -38,7 +38,10 @@ class Vocabulary:
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":
         obj = json.loads(text)
-        return cls(kind=obj["kind"], names=tuple(obj["names"]))
+        names = obj["names"]
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise ValueError("names must be a list of strings")
+        return cls(kind=obj["kind"], names=tuple(names))
 
 
 @dataclass(frozen=True)
@@ -135,10 +138,14 @@ def dump_corpus(corpus: Iterable[ActionSequence], path: str) -> None:
 
 
 def iter_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    """Yield (lineno, parsed object) for each non-empty line of a JSONL file."""
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
+    """Yield (lineno, parsed object) for each non-empty line of a JSONL file.
+    Each line is decoded on its own, so a non-UTF-8 byte names its own line."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:

@@ -482,3 +482,163 @@ def test_stats_non_finite_add_k_is_one_error_line(workspace, capsys, add_k):
     err = capsys.readouterr().err
     assert err == f"error: add_k must be nonnegative and finite, got {float(add_k)}\n"
     assert not (workspace / "stats.json").exists()
+
+
+@pytest.mark.parametrize("actions, extra, message", [
+    ([[-3, 0], [-2, 0]], [], "episode 'line1': verb_id -3 out of range [0, 1) of the decoder"),
+    ([[0, -4], [0, -2]], [], "episode 'line1': noun_id -4 out of range [0, 1) of the decoder"),
+    ([[0, 0], [1, 0]], ["--c-verb", "-5"], "--c-verb must be >= 1, got -5"),
+    ([[0, 0], [1, 0]], ["--c-noun", "0"], "--c-noun must be >= 1, got 0"),
+], ids=["negative_verb_ids_inferred", "negative_noun_ids_inferred", "negative_c_verb", "zero_c_noun"])
+def test_train_class_count_below_one_is_one_error_line(workspace, capsys, actions, extra, message):
+    rows = [{"features": [1.0, 0.0], "actions": actions}]
+    assert _train_cmd(workspace, rows, extra) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workspace / "ckpt.json").exists()
+
+
+# a first line longer than one 8 KiB decoding chunk, then a bad byte on line 2
+LONG_FIRST_LINE = json.dumps({"episode_id": "e" * 9000, "actions": [[0, 0]]}).encode() + b"\n"
+
+
+def test_non_utf8_corpus_line_is_one_error_line(workspace, capsys):
+    bad = workspace / "latin1.jsonl"
+    bad.write_bytes(LONG_FIRST_LINE + b'{"episode_id": "caf\xe9", "actions": [[0, 0]]}\n')
+    assert _stats_cmd(workspace, train="latin1.jsonl") == 1
+    _one_error_line(capsys, f"{bad}:2: not UTF-8: ")
+    assert not (workspace / "unused.json").exists()
+
+
+def test_non_utf8_logits_line_is_one_error_line(workspace, capsys):
+    bad = workspace / "latin1_logits.jsonl"
+    lines = (workspace / "logits.jsonl").read_bytes().splitlines(keepends=True)
+    long_first = json.loads(lines[0]) | {"example_id": "e" * 9000}
+    bad.write_bytes(json.dumps(long_first).encode() + b"\n" + lines[1].replace(b'"ep', b'"\xff', 1))
+    code = main([
+        "refine", "--quiet", "--logits", str(bad), "--z", "6", "--k", "1",
+        "--out", str(workspace / "x.jsonl"),
+    ])
+    assert code == 1
+    _one_error_line(capsys, f"{bad}:2: not UTF-8: ")
+
+
+@pytest.mark.parametrize("kind", ["vocabulary", "stats", "synth config"])
+def test_non_utf8_json_file_is_one_error_line(workspace, capsys, kind):
+    bad = workspace / "latin1.json"
+    bad.write_bytes(b'{"kind": "verb", "names": ["caf\xe9"]}\n')
+    if kind == "vocabulary":
+        code = _stats_cmd(workspace, verb_vocab="latin1.json")
+    elif kind == "stats":
+        code = main(["refine", "--quiet", "--stats", str(bad), "--logits",
+                     str(workspace / "logits.jsonl"), "--z", "6", "--out", str(workspace / "x.jsonl")])
+    else:
+        code = main(["synth", "gen", "--quiet", "--config", str(bad),
+                     "--out-corpus", str(workspace / "c.jsonl")])
+    assert code == 1
+    _one_error_line(capsys, f"{bad}: bad {kind} file: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("names", ["abcd", [1, 2, 3, 4]], ids=["string", "integers"])
+def test_vocabulary_names_not_strings_is_one_error_line(workspace, capsys, names):
+    bad = workspace / "badnames.json"
+    bad.write_text(json.dumps({"kind": "verb", "names": names}))
+    assert _stats_cmd(workspace, verb_vocab="badnames.json") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: bad vocabulary file: names must be a list of strings\n"
+
+
+SYNTH_KEYS = {"c_verb", "c_noun", "num_sequences", "seq_len", "transition_sharpness",
+              "verb_noun_coupling", "logit_noise_sigma", "rng_seed", "num_patterns"}
+
+# argv (paths relative to the workspace), then the manifest's expected input
+# paths, output paths (the first one names the manifest), seed and config keys
+MANIFEST_CASES = {
+    "stats": (
+        "stats --train corpus.jsonl --verb-vocab vocab.verb.json --noun-vocab vocab.noun.json "
+        "--out m.json",
+        {"corpus.jsonl", "vocab.verb.json", "vocab.noun.json"}, ["m.json"], None,
+        {"add_k", "prob_clamp_min", "prob_clamp_max"},
+    ),
+    "ensemble": (
+        "ensemble --logits-a logits.jsonl --logits-b logits_b.jsonl --out m.jsonl",
+        {"logits.jsonl", "logits_b.jsonl"}, ["m.jsonl"], None, {"alpha", "beta", "sweep"},
+    ),
+    "refine": (
+        "refine --stats stats.json --logits logits.jsonl --z 6 --k 4 --seed 3 --out m.jsonl",
+        {"stats.json", "logits.jsonl"}, ["m.jsonl"], 3,
+        {"alpha", "beta", "z", "k", "seed", "mode"},
+    ),
+    "refine_logits_b": (
+        "refine --stats stats.json --logits logits.jsonl --logits-b logits_b.jsonl "
+        "--z 6 --k 4 --seed 3 --out m.jsonl",
+        {"stats.json", "logits.jsonl", "logits_b.jsonl"}, ["m.jsonl"], 3,
+        {"alpha", "beta", "z", "k", "seed", "mode"},
+    ),
+    "refine_k1_no_stats": (
+        "refine --logits logits.jsonl --z 6 --k 1 --out m.jsonl",
+        {"logits.jsonl"}, ["m.jsonl"], 0, {"alpha", "beta", "z", "k", "seed", "mode"},
+    ),
+    "train": (
+        "train --data train.jsonl --z 2 --epochs 2 --seed 1 --c-verb 3 --c-noun 2 --out m.json",
+        {"train.jsonl"}, ["m.json"], 1,
+        {"z", "smooth", "seed", "lr", "epochs", "batch_size", "c_verb", "c_noun"},
+    ),
+    "eval": (
+        "eval --preds preds.jsonl --truth corpus.jsonl --out m.json",
+        {"preds.jsonl", "corpus.jsonl"}, ["m.json"], None, {"no_transposition", "per_example"},
+    ),
+    "synth_gen": (
+        "synth gen --config synth.json --out-corpus m.jsonl --out-logits m_logits.jsonl "
+        "--out-vocab-prefix m_vocab",
+        {"synth.json"}, ["m.jsonl", "m_logits.jsonl", "m_vocab.verb.json", "m_vocab.noun.json"],
+        5, {"seed"} | SYNTH_KEYS,
+    ),
+    "synth_experiment": (
+        "synth experiment --config synth.json --seed 9 --out m.json",
+        {"synth.json"}, ["m.json"], 9, {"seed", "per_example"} | SYNTH_KEYS,
+    ),
+}
+
+
+@pytest.fixture
+def manifest_workspace(workspace, monkeypatch):
+    """The workspace as working directory, with stats, predictions, a second
+    logits file and training data in it."""
+    monkeypatch.chdir(workspace)
+    assert _build_stats(workspace) == 0
+    assert _run_pipeline(workspace, "preds.jsonl") == 0
+    (workspace / "logits_b.jsonl").write_bytes((workspace / "logits.jsonl").read_bytes())
+    rows = [{"features": [1.0, 0.0], "actions": [[0, 1], [2, 0]]},
+            {"features": [0.0, 1.0], "actions": [[1, 1], [2, 1]]}]
+    (workspace / "train.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return workspace
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_CASES))
+def test_manifest_records_paths_seed_and_every_other_option(manifest_workspace, case):
+    argv, inputs, outputs, seed, config_keys = MANIFEST_CASES[case]
+    assert main(argv.split() + ["--quiet"]) == 0
+    manifest = json.loads((manifest_workspace / f"{outputs[0]}.manifest.json").read_text())
+    assert set(manifest) == {"tool", "command", "seed", "inputs", "config", "outputs"}
+    assert manifest["command"] == argv.split()[:2 if argv.startswith("synth") else 1]
+    assert set(manifest["inputs"]) == inputs
+    assert set(manifest["outputs"]) == set(outputs)
+    assert manifest["seed"] == seed
+    assert set(manifest["config"]) == config_keys
+
+
+def test_manifest_option_sets_the_path(manifest_workspace):
+    assert main(["eval", "--quiet", "--preds", "preds.jsonl", "--truth", "corpus.jsonl",
+                 "--out", "m.json", "--manifest", "elsewhere.json"]) == 0
+    manifest = json.loads((manifest_workspace / "elsewhere.json").read_text())
+    assert set(manifest["outputs"]) == {"m.json"}
+    assert "manifest" not in manifest["config"]
+    assert not (manifest_workspace / "m.json.manifest.json").exists()
+
+
+def test_sweep_writes_no_manifest(manifest_workspace):
+    before = set(manifest_workspace.iterdir())
+    assert main(["ensemble", "--quiet", "--sweep", "--truth", "corpus.jsonl",
+                 "--logits-a", "logits.jsonl", "--logits-b", "logits_b.jsonl",
+                 "--manifest", "sweep.json"]) == 0
+    assert set(manifest_workspace.iterdir()) == before
