@@ -128,7 +128,8 @@ def cmd_stats(args) -> list[str]:
     )
     stats = build_stats(corpus, verb_vocab, noun_vocab, cfg)
     with open(args.out, "w") as handle:
-        handle.write(stats.to_json() + "\n")
+        stats.to_json(handle)
+        handle.write("\n")
     n_bigrams = sum(len(seq.actions) - 1 for seq in corpus)
     _say(args, f"vocab sizes: {len(verb_vocab)} verbs, {len(noun_vocab)} nouns")
     _say(args, f"{len(corpus)} sequences, {n_bigrams} bigrams -> {args.out}")
@@ -254,6 +255,8 @@ def cmd_train(args) -> list[str]:
     actions = [a for _, seq in dataset for a in seq.actions]
     c_verb = _class_count(args.c_verb, "--c-verb", [a.verb_id for a in actions])
     c_noun = _class_count(args.c_noun, "--c-noun", [a.noun_id for a in actions])
+    if args.z < 1:
+        raise CliError(f"--z must be >= 1, got {args.z}")
     dec = MultiHeadDecoder.init(feature_dim, args.z, c_verb, c_noun, seed=args.seed)
     cfg = TrainConfig(
         learning_rate=args.lr,

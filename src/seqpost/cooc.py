@@ -19,8 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, field
 from enum import Enum
+from typing import TextIO
 
 import numpy as np
 
@@ -71,6 +73,13 @@ class CoocStats:
             actual = getattr(self, name).shape
             if actual != shape:
                 raise ValueError(f"{name} has shape {actual}, expected {shape}")
+        for name in _TABLES:
+            table = getattr(self, name)
+            bad = ~((table >= 0) & (table < math.inf))
+            if bad.any():
+                raise ValueError(
+                    f"{name} holds {float(table[bad][0])!r}, expected finite entries >= 0"
+                )
 
     @property
     def c_verb(self) -> int:
@@ -86,35 +95,35 @@ class CoocStats:
     def transition(self, axis: str) -> np.ndarray:
         return self.verb_transition if axis == "verb" else self.noun_transition
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "c_verb": self.c_verb,
-                "c_noun": self.c_noun,
-                "verb_marginal": self.verb_marginal.tolist(),
-                "noun_marginal": self.noun_marginal.tolist(),
-                "verb_transition": self.verb_transition.tolist(),
-                "noun_transition": self.noun_transition.tolist(),
-                "verb_given_noun": self.verb_given_noun.tolist(),
-                "smoothing": {
-                    "add_k": self.smoothing.add_k,
-                    "prob_clamp_min": self.smoothing.prob_clamp_min,
-                    "prob_clamp_max": self.smoothing.prob_clamp_max,
-                },
-                "corpus_fingerprint": self.corpus_fingerprint,
-            }
-        )
+    def to_json(self, handle: TextIO | None = None) -> str | None:
+        """``json.dumps`` of the stats as a dict, byte for byte, with each
+        distinct table entry spelled by ``repr`` once. Given a text
+        ``handle``, write that text to it piece by piece, at most one table
+        row at a time, and return None: the stats file is never held whole,
+        neither as text nor encoded."""
+        pieces = self._json_pieces()
+        if handle is None:
+            return "".join(pieces)
+        handle.writelines(pieces)
+        return None
+
+    def _json_pieces(self) -> Iterator[str]:
+        yield f'{{"c_verb": {self.c_verb}, "c_noun": {self.c_noun}'
+        for name in _TABLES:
+            yield f', "{name}": '
+            yield from _table_json(getattr(self, name))
+        yield ', "smoothing": '
+        yield json.dumps(asdict(self.smoothing))
+        yield ', "corpus_fingerprint": '
+        yield json.dumps(self.corpus_fingerprint)
+        yield "}"
 
     @classmethod
     def from_json(cls, text: str) -> "CoocStats":
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_FloatMemo().__getitem__)
         smoothing = SmoothingConfig(**obj["smoothing"])
         stats = cls(
-            verb_marginal=np.array(obj["verb_marginal"], dtype=np.float64),
-            noun_marginal=np.array(obj["noun_marginal"], dtype=np.float64),
-            verb_transition=np.array(obj["verb_transition"], dtype=np.float64),
-            noun_transition=np.array(obj["noun_transition"], dtype=np.float64),
-            verb_given_noun=np.array(obj["verb_given_noun"], dtype=np.float64),
+            **{name: np.array(obj[name], dtype=np.float64) for name in _TABLES},
             smoothing=smoothing,
             corpus_fingerprint=obj["corpus_fingerprint"],
         )
@@ -124,6 +133,41 @@ class CoocStats:
                 f"{stats.c_verb} verb and {stats.c_noun} noun marginal entries"
             )
         return stats
+
+
+# The array fields of CoocStats, in the order the stats file lists them.
+_TABLES = ("verb_marginal", "noun_marginal", "verb_transition", "noun_transition", "verb_given_noun")
+
+
+def _table_json(table: np.ndarray) -> Iterator[str]:
+    """The JSON text of a 1-D or 2-D float table, as
+    ``json.dumps(table.tolist())`` spells it, in pieces of at most one row.
+    Entries are deduplicated on their bits, so -0.0 and 0.0 keep their own
+    spellings."""
+    bits = np.ascontiguousarray(table, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = list(map(repr, distinct.view(np.float64).tolist()))
+    inverse = inverse.reshape(table.shape)
+    if table.ndim == 1:
+        yield "["
+        yield ", ".join(map(texts.__getitem__, inverse.tolist()))
+        yield "]"
+        return
+    yield "["
+    for i, row in enumerate(inverse):
+        yield ", [" if i else "["
+        yield ", ".join(map(texts.__getitem__, row.tolist()))
+        yield "]"
+    yield "]"
+
+
+class _FloatMemo(dict):
+    """Float text -> float, converting each distinct text once, so that
+    equal entries of a parsed stats file share one float object."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
 
 
 def corpus_fingerprint(corpus: list[ActionSequence]) -> str:

@@ -4,6 +4,7 @@ Everything here is deliberately slow and scalar so it shares no code path
 with the package proper.
 """
 
+import json
 from functools import lru_cache
 
 import mpmath
@@ -103,3 +104,25 @@ def corrupt_logits_loop(actions, sigma, scale, seed, c_verb, c_noun, stream=0):
             for c in range(matrix.shape[1]):
                 matrix[step, c] += sigma * rng.gauss()
     return verb_logits, noun_logits
+
+
+def stats_json_dumps(stats):
+    """The stats file text as ``json.dumps`` of the stats as a plain dict,
+    one ``tolist()`` per table."""
+    return json.dumps(
+        {
+            "c_verb": stats.c_verb,
+            "c_noun": stats.c_noun,
+            "verb_marginal": stats.verb_marginal.tolist(),
+            "noun_marginal": stats.noun_marginal.tolist(),
+            "verb_transition": stats.verb_transition.tolist(),
+            "noun_transition": stats.noun_transition.tolist(),
+            "verb_given_noun": stats.verb_given_noun.tolist(),
+            "smoothing": {
+                "add_k": stats.smoothing.add_k,
+                "prob_clamp_min": stats.smoothing.prob_clamp_min,
+                "prob_clamp_max": stats.smoothing.prob_clamp_max,
+            },
+            "corpus_fingerprint": stats.corpus_fingerprint,
+        }
+    )

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -292,7 +293,14 @@ def test_vocabulary_without_kind_is_one_error_line(workspace, capsys):
      "verb_given_noun has shape (2, 4), expected (4, 4)"),
     (lambda obj: obj.update(c_verb=99),
      "c_verb 99 and c_noun 4 do not match the 4 verb and 4 noun marginal entries"),
-], ids=["missing_table", "short_table", "wrong_class_count"])
+    (lambda obj: obj["verb_marginal"].__setitem__(1, math.nan),
+     "verb_marginal holds nan, expected finite entries >= 0"),
+    (lambda obj: obj["noun_transition"][1].__setitem__(2, math.inf),
+     "noun_transition holds inf, expected finite entries >= 0"),
+    (lambda obj: obj["verb_given_noun"][2].__setitem__(0, -0.5),
+     "verb_given_noun holds -0.5, expected finite entries >= 0"),
+], ids=["missing_table", "short_table", "wrong_class_count", "NaN_entry", "Infinity_entry",
+        "negative_entry"])
 def test_malformed_stats_is_one_error_line(workspace, capsys, corrupt, message):
     assert _build_stats(workspace) == 0
     obj = json.loads((workspace / "stats.json").read_text())
@@ -307,6 +315,7 @@ def test_malformed_stats_is_one_error_line(workspace, capsys, corrupt, message):
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}: bad stats file: {message}\n"
+    assert not (workspace / "x.jsonl").exists()
 
 
 def test_logits_wider_than_stats_rejected_at_load(workspace, capsys):
@@ -494,6 +503,14 @@ def test_train_class_count_below_one_is_one_error_line(workspace, capsys, action
     rows = [{"features": [1.0, 0.0], "actions": actions}]
     assert _train_cmd(workspace, rows, extra) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workspace / "ckpt.json").exists()
+
+
+@pytest.mark.parametrize("z", ["-1", "0"])
+def test_train_z_below_one_is_one_error_line(workspace, capsys, z):
+    rows = [{"features": [1.0, 0.0], "actions": [[0, 0], [1, 0]]}]
+    assert _train_cmd(workspace, rows, ["--z", z]) == 1
+    assert capsys.readouterr().err == f"error: --z must be >= 1, got {z}\n"
     assert not (workspace / "ckpt.json").exists()
 
 

@@ -1,8 +1,12 @@
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqpost.cooc import (
     CoocStats,
@@ -16,7 +20,7 @@ from seqpost.cooc import (
 from seqpost.rng import CounterRng
 from seqpost.vocab import Action, ActionSequence, Vocabulary
 
-from oracles import count_stats
+from oracles import count_stats, stats_json_dumps
 
 VV2 = Vocabulary("verb", ("v0", "v1"))
 NV1 = Vocabulary("noun", ("n0",))
@@ -199,6 +203,146 @@ def test_stats_json_roundtrip_exact():
     assert np.array_equal(stats.noun_marginal, back.noun_marginal)
     assert stats.corpus_fingerprint == back.corpus_fingerprint
     assert stats.smoothing == back.smoothing
+
+
+TABLES = ("verb_marginal", "noun_marginal", "verb_transition", "noun_transition", "verb_given_noun")
+
+# -0.0 beside 0.0, the smallest subnormal, and repr's switches to and from
+# exponent notation (1e-05 vs 0.0001, 1e+16 vs 9999999999999998.0)
+EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-05, 0.0001, 1e16, 9999999999999998.0, 0.5, 1.0)
+
+
+def _stats_holding(table):
+    """Stats whose verb_given_noun (a 2-D ``table``) or verb_marginal (a 1-D
+    one) is ``table``; every other table is uniform."""
+    table = np.asarray(table, dtype=np.float64)
+    c_noun, c_verb = table.shape if table.ndim == 2 else (2, table.shape[0])
+
+    def uniform(*shape):
+        return np.full(shape, 1.0 / shape[-1])
+
+    return CoocStats(
+        verb_marginal=table if table.ndim == 1 else uniform(c_verb),
+        noun_marginal=uniform(c_noun),
+        verb_transition=uniform(c_verb, c_verb),
+        noun_transition=uniform(c_noun, c_noun),
+        verb_given_noun=table if table.ndim == 2 else uniform(c_noun, c_verb),
+        smoothing=SmoothingConfig(),
+        corpus_fingerprint="holding",
+    )
+
+
+def _first_difference(text, expected):
+    """None for equal texts, else both texts around their first difference
+    (pytest's own diff of two 6 MB strings would take minutes)."""
+    if text == expected:
+        return None
+    at = next((i for i, pair in enumerate(zip(text, expected)) if pair[0] != pair[1]),
+              min(len(text), len(expected)))
+    return text[at - 40:at + 40], expected[at - 40:at + 40]
+
+
+class _PieceLog(io.StringIO):
+    """A text handle that also keeps the length of its longest write."""
+
+    longest = 0
+
+    def write(self, piece):
+        self.longest = max(self.longest, len(piece))
+        return super().write(piece)
+
+
+def _assert_writes_json_dumps_and_reads_back(stats):
+    text = stats.to_json()
+    assert _first_difference(text, stats_json_dumps(stats)) is None
+    streamed = _PieceLog()
+    assert stats.to_json(streamed) is None
+    assert _first_difference(streamed.getvalue(), text) is None
+    back = CoocStats.from_json(text)
+    plain = json.loads(text)
+    for name in TABLES:
+        assert getattr(back, name).tobytes() == getattr(stats, name).tobytes()
+        assert getattr(back, name).tobytes() == np.array(plain[name], dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_stats_json_equals_json_dumps_property(data):
+    entries = st.one_of(
+        st.sampled_from(EDGE_VALUES),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+    c_verb = data.draw(st.integers(1, 5))
+    c_noun = data.draw(st.integers(1, 5))
+    shapes = ((c_verb,), (c_noun,), (c_verb, c_verb), (c_noun, c_noun), (c_noun, c_verb))
+    tables = {
+        name: np.array(data.draw(st.lists(entries, min_size=math.prod(shape),
+                                          max_size=math.prod(shape)))).reshape(shape)
+        for name, shape in zip(TABLES, shapes)
+    }
+    add_k = data.draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    stats = CoocStats(**tables, smoothing=SmoothingConfig(add_k=add_k),
+                      corpus_fingerprint=data.draw(st.text(max_size=8)))
+    _assert_writes_json_dumps_and_reads_back(stats)
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param([[0.0, -0.0, 0.5], [-0.0, 0.0, 0.5]], id="signed_zeros"),
+    pytest.param([-0.0, 0.0, -0.0], id="signed_zeros_1d"),
+    pytest.param([[5e-324, 1e-310], [2.225073858507201e-308, 2.2250738585072014e-308]],
+                 id="subnormals"),
+    pytest.param([[1e16, 9999999999999998.0, 1e15], [1e-05, 0.0001, 9.999999999999999e-06]],
+                 id="repr_exponent_switches"),
+    pytest.param([[0.25]], id="1x1"),
+    pytest.param(np.full((4, 7), 1.0 / 7), id="all_equal"),
+    pytest.param(np.arange(1, 29, dtype=np.float64).reshape(4, 7) / 29.0, id="all_distinct"),
+])
+def test_stats_json_equals_json_dumps_on_edge_tables(table):
+    _assert_writes_json_dumps_and_reads_back(_stats_holding(table))
+
+
+def test_stats_json_equals_json_dumps_at_lta_size():
+    gen = np.random.default_rng(3)
+    corpus = [
+        ActionSequence(f"e{i}", tuple(
+            Action(int(v), int(n)) for v, n in zip(gen.integers(115, size=20), gen.integers(478, size=20))
+        ))
+        for i in range(200)
+    ]
+    stats = _stats_for(corpus, c_verb=115, c_noun=478)
+    assert stats.noun_transition.shape == (478, 478)
+    _assert_writes_json_dumps_and_reads_back(stats)
+    # a handle gets the text a row at a time, never the 6 MB whole
+    streamed = _PieceLog()
+    stats.to_json(streamed)
+    longest_row = max(len(json.dumps(row)) for row in stats.noun_transition.tolist())
+    assert streamed.longest <= longest_row
+
+
+def test_stats_json_integer_entries_load():
+    text = json.dumps({
+        "c_verb": 1, "c_noun": 2,
+        "verb_marginal": [1], "noun_marginal": [0, 1],
+        "verb_transition": [[1]], "noun_transition": [[1, 0], [0.5, 0.5]],
+        "verb_given_noun": [[1], [1]],
+        "smoothing": {"add_k": 1, "prob_clamp_min": 1e-06, "prob_clamp_max": 0.999999},
+        "corpus_fingerprint": "ints",
+    })
+    stats = CoocStats.from_json(text)
+    assert stats.verb_marginal.dtype == np.float64
+    assert stats.noun_marginal.tolist() == [0.0, 1.0]
+    assert stats.noun_transition.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+    assert stats.verb_given_noun.tolist() == [[1.0], [1.0]]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, -5e-324])
+@pytest.mark.parametrize("name", TABLES)
+def test_stats_reject_entries_not_finite_or_negative(name, value):
+    stats = _stats_for(_random_corpus(2))
+    table = getattr(stats, name).copy()
+    table.flat[-1] = value
+    with pytest.raises(ValueError, match=f"^{name} holds {value!r}, expected finite entries >= 0$"):
+        dataclasses.replace(stats, **{name: table})
 
 
 def test_smoothing_config_validation():
