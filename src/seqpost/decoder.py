@@ -15,6 +15,7 @@ whole optimizer checkable by finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,34 +28,33 @@ _LOG_FLOOR = 1e-12
 
 
 def smooth_labels(onehots: np.ndarray) -> np.ndarray:
-    """Average each one-hot row with the column mean of all rows.
+    """Average each one-hot row with the mean of the rows of its sequence.
 
-    Rows stay valid distributions and keep their argmax; constant-class
-    inputs are exact fixed points.
+    The steps are the second-to-last axis, so a (B, Z, C) stack smooths each
+    of its B sequences on its own. Rows stay valid distributions and keep
+    their argmax; constant-class inputs are exact fixed points.
     """
     onehots = np.asarray(onehots, dtype=np.float64)
-    if onehots.ndim != 2:
-        raise ValueError("expected a 2-D (steps x classes) matrix")
-    for z, row in enumerate(onehots):
-        if not (np.count_nonzero(row == 1.0) == 1 and np.count_nonzero(row) == 1):
-            raise ValueError(f"row {z} is not one-hot")
-    mean = onehots.mean(axis=0)
-    return (onehots + mean) / 2.0
+    if onehots.ndim < 2:
+        raise ValueError("expected a (..., steps x classes) array")
+    onehot = (np.count_nonzero(onehots == 1.0, axis=-1) == 1) & (
+        np.count_nonzero(onehots, axis=-1) == 1
+    )
+    if not onehot.all():
+        first_bad = np.argwhere(~onehot)[0].tolist()
+        raise ValueError(f"row {', '.join(map(str, first_bad))} is not one-hot")
+    return (onehots + onehots.mean(axis=-2, keepdims=True)) / 2.0
 
 
-def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    """-sum(target * ln(pred)) with pred floored at 1e-12 before the log."""
+def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+    """-sum(target * ln(pred)) over the last axis, with pred floored at 1e-12
+    before the log: a float for one row, one value per row for a stack."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"length mismatch: {pred.shape} vs {target.shape}")
-    return float(-(target * np.log(np.maximum(pred, _LOG_FLOOR))).sum())
-
-
-def _onehot_rows(ids: list[int], num_classes: int) -> np.ndarray:
-    rows = np.zeros((len(ids), num_classes))
-    rows[np.arange(len(ids)), ids] = 1.0
-    return rows
+    loss = -(target * np.log(np.maximum(pred, _LOG_FLOOR))).sum(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 @dataclass
@@ -134,26 +134,22 @@ class TrainConfig:
 
 
 def decoder_forward(dec: MultiHeadDecoder, features: np.ndarray) -> LogitsTensor:
+    """Logits of one (D,) feature vector as (Z, C) rows, or of a (B, D)
+    batch as B·Z rows, example by example."""
     features = np.asarray(features, dtype=np.float64)
-    if features.shape != (dec.feature_dim,):
+    if features.ndim not in (1, 2) or features.shape[-1] != dec.feature_dim:
         raise ValueError(
-            f"feature vector has shape {features.shape}, expected ({dec.feature_dim},)"
+            f"feature vector has shape {features.shape}, expected ({dec.feature_dim},) "
+            f"or (batch, {dec.feature_dim})"
         )
+    def head(weights, biases):
+        logits = np.einsum("...d,zdc->...zc", features, weights) + biases
+        return logits.reshape(-1, weights.shape[2])
     return LogitsTensor(
         example_id="",
-        verb_logits=np.einsum("zdc,d->zc", dec.verb_weights, features) + dec.verb_biases,
-        noun_logits=np.einsum("zdc,d->zc", dec.noun_weights, features) + dec.noun_biases,
+        verb_logits=head(dec.verb_weights, dec.verb_biases),
+        noun_logits=head(dec.noun_weights, dec.noun_biases),
     )
-
-
-def example_targets(
-    seq: ActionSequence, c_verb: int, c_noun: int, use_smoothing: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    verb_onehots = _onehot_rows([a.verb_id for a in seq.actions], c_verb)
-    noun_onehots = _onehot_rows([a.noun_id for a in seq.actions], c_noun)
-    if use_smoothing:
-        return smooth_labels(verb_onehots), smooth_labels(noun_onehots)
-    return verb_onehots, noun_onehots
 
 
 def loss_and_grad(
@@ -163,31 +159,26 @@ def loss_and_grad(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean over the batch of the per-example summed cross-entropy, plus
     analytic gradients in the same layout as the decoder parameters."""
-    c_verb = dec.verb_weights.shape[2]
-    c_noun = dec.noun_weights.shape[2]
-    grads = {
-        "verb_weights": np.zeros_like(dec.verb_weights),
-        "verb_biases": np.zeros_like(dec.verb_biases),
-        "noun_weights": np.zeros_like(dec.noun_weights),
-        "noun_biases": np.zeros_like(dec.noun_biases),
-    }
-    total_loss = 0.0
-    for features, seq in batch:
-        features = np.asarray(features, dtype=np.float64)
-        dists = softmax_rows(decoder_forward(dec, features))
-        verb_targets, noun_targets = example_targets(seq, c_verb, c_noun, use_smoothing)
-        for probs, targets, w_key, b_key in (
-            (dists.verb_probs, verb_targets, "verb_weights", "verb_biases"),
-            (dists.noun_probs, noun_targets, "noun_weights", "noun_biases"),
-        ):
-            for z in range(dec.num_steps):
-                total_loss += cross_entropy(probs[z], targets[z])
-            delta = probs - targets  # (Z, C): d loss / d logits
-            grads[w_key] += np.einsum("d,zc->zdc", features, delta)
-            grads[b_key] += delta
+    features = np.array([f for f, _ in batch], dtype=np.float64)  # (B, D)
+    ids = np.array([[(a.verb_id, a.noun_id) for a in seq.actions] for _, seq in batch])
+    dists = softmax_rows(decoder_forward(dec, features))
     scale = 1.0 / len(batch)
-    for key in grads:
-        grads[key] *= scale
+    grads: dict[str, np.ndarray] = {}
+    row_losses = []
+    for axis, probs, class_ids in (
+        ("verb", dists.verb_probs, ids[..., 0]), ("noun", dists.noun_probs, ids[..., 1])
+    ):
+        targets = np.eye(probs.shape[1])[class_ids]  # (B, Z, C) one-hot rows
+        if use_smoothing:
+            targets = smooth_labels(targets)
+        probs = probs.reshape(targets.shape)
+        row_losses.append(cross_entropy(probs, targets))  # (B, Z)
+        delta = probs - targets  # d loss / d logits
+        grads[f"{axis}_weights"] = np.einsum("bd,bzc->zdc", features, delta) * scale
+        grads[f"{axis}_biases"] = delta.sum(axis=0) * scale
+    # 0.0 plus each row loss in turn, example by example, verb steps before
+    # noun steps: cumsum adds sequentially, where np.sum adds pairwise
+    total_loss = float(np.cumsum(np.append(0.0, np.hstack(row_losses)))[-1])
     return total_loss * scale, grads
 
 
@@ -234,10 +225,8 @@ def train(
             batch = [dataset[i] for i in order[start : start + cfg.batch_size]]
             loss, grads = loss_and_grad(dec, batch, cfg.use_label_smoothing)
             epoch_loss += loss * len(batch)
-            dec.verb_weights -= cfg.learning_rate * grads["verb_weights"]
-            dec.verb_biases -= cfg.learning_rate * grads["verb_biases"]
-            dec.noun_weights -= cfg.learning_rate * grads["noun_weights"]
-            dec.noun_biases -= cfg.learning_rate * grads["noun_biases"]
+            for key, grad in grads.items():
+                getattr(dec, key)[...] -= cfg.learning_rate * grad
         history.append(epoch_loss / len(order))
     return dec, history
 
@@ -247,9 +236,15 @@ def load_train_dataset(path: str) -> list[tuple[np.ndarray, ActionSequence]]:
     dataset = []
     for lineno, obj in iter_jsonl(path):
         try:
-            features = np.array(obj["features"], dtype=np.float64)
+            raw = obj["features"]
+            # math.isfinite raises OverflowError on an int too large for a float
+            if not (isinstance(raw, list) and all(
+                type(x) in (int, float) and math.isfinite(x) for x in raw
+            )):
+                raise ValueError("features must be a 1-D list of finite numbers")
+            features = np.array(raw, dtype=np.float64)
             actions = parse_actions(obj["actions"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: bad training record: {exc}") from exc
         dataset.append((features, ActionSequence(episode_id=f"line{lineno}", actions=actions)))
     return dataset

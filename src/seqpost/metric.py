@@ -84,6 +84,10 @@ def ed_at_k(
 ) -> float:
     """min over patterns of edit_distance / len(truth) on one axis."""
     z = len(truth.actions)
+    if z == 0:
+        raise ValueError(f"example {preds.example_id!r}: truth has no actions")
+    if not preds.patterns:
+        raise ValueError(f"example {preds.example_id!r}: prediction has no patterns")
     for k, pattern in enumerate(preds.patterns):
         if len(pattern) != z:
             raise ValueError(

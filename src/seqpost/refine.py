@@ -40,7 +40,6 @@ class PredictionConfig:
     num_patterns: int  # patterns per example
     rng_seed: int = 0
     mode: IndicatorMode = IndicatorMode.AS_WRITTEN
-    first_step: Optional[Action] = None  # None: first step stays unrefined
 
     def __post_init__(self):
         if self.num_steps < 1:
@@ -129,12 +128,12 @@ def _sequential_pattern(
 ) -> tuple[Action, ...]:
     """One refined pattern; rng=None selects greedily, otherwise samples."""
     actions: list[Action] = []
-    prev = cfg.first_step
+    prev = None
     for z in range(cfg.num_steps):
         noun_probs = dists.noun_probs[z]
         verb_probs = dists.verb_probs[z]
         if prev is None:
-            # no previous action to condition on: use the raw distributions
+            # the first step has no previous action: use the raw distributions
             noun = _pick(noun_probs, rng)
             verb = _pick(verb_probs, rng)
         else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -659,3 +660,63 @@ def test_sweep_writes_no_manifest(manifest_workspace):
                  "--logits-a", "logits.jsonl", "--logits-b", "logits_b.jsonl",
                  "--manifest", "sweep.json"]) == 0
     assert set(manifest_workspace.iterdir()) == before
+
+
+@pytest.mark.parametrize("smooth, digest, line", [
+    ("off", "61c1dac03041aa8c6495870a2f0e99030d2ab11c481fe37939cd6ad68a28fa47",
+     "loss 11.0258 -> 4.7843"),
+    ("on", "a610b85930a61c71d5e0276e588ba4a22bd484e4e68ad0b00cc299dbeadf8185",
+     "loss 10.7666 -> 7.5192"),
+], ids=["off", "on"])
+def test_train_checkpoint_bytes_and_loss_line_pinned(tmp_path, capsys, smooth, digest, line):
+    from test_decoder import pinned_train_rows
+
+    data, ckpt = tmp_path / "train.jsonl", tmp_path / "ckpt.json"
+    data.write_text("".join(json.dumps(row) + "\n" for row in pinned_train_rows()))
+    assert main([
+        "train", "--data", str(data), "--z", "3", "--smooth", smooth, "--seed", "2",
+        "--lr", "0.4", "--epochs", "6", "--batch-size", "3", "--c-verb", "4", "--c-noun", "9",
+        "--out", str(ckpt),
+    ]) == 0
+    assert capsys.readouterr().out == f"trained 7 examples for 6 epochs; {line} -> {ckpt}\n"
+    assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == digest
+
+
+def test_train_diverging_run_is_one_error_line(workspace, capsys):
+    rows = [{"features": [1e308, 1e308], "actions": [[0, 1], [1, 0]]}] * 2
+    assert _train_cmd(workspace, rows, ["--lr", "10", "--epochs", "3"]) == 1
+    assert capsys.readouterr().err == "error: logits must be finite\n"
+    assert not (workspace / "ckpt.json").exists()
+
+
+@pytest.mark.parametrize("features", [3, None, [[1.0], [0.0]], ["1", 0.0], [True, 0.0], [1.0, math.nan]],
+                         ids=["scalar", "null", "nested", "string", "bool", "nan"])
+def test_train_features_not_a_finite_number_list_is_one_error_line(workspace, capsys, features):
+    rows = [
+        {"features": [1.0, 0.0], "actions": [[0, 1], [1, 0]]},
+        {"features": features, "actions": [[1, 1], [0, 0]]},
+    ]
+    assert _train_cmd(workspace, rows) == 1
+    assert capsys.readouterr().err == (
+        f"error: {workspace / 'train.jsonl'}:2: bad training record: "
+        "features must be a 1-D list of finite numbers\n"
+    )
+    assert not (workspace / "ckpt.json").exists()
+
+
+@pytest.mark.parametrize("truth, patterns, message", [
+    ([], [[]], "truth has no actions"),
+    ([[0, 0]], [], "prediction has no patterns"),
+], ids=["empty_truth", "no_patterns"])
+def test_eval_empty_truth_or_patterns_is_one_error_line(tmp_path, capsys, truth, patterns, message):
+    (tmp_path / "truth.jsonl").write_text(json.dumps({"episode_id": "e", "actions": truth}) + "\n")
+    (tmp_path / "preds.jsonl").write_text(
+        json.dumps({"example_id": "e", "patterns": patterns, "tiers": ["raw_argmax"] * len(patterns)}) + "\n"
+    )
+    code = main([
+        "eval", "--quiet", "--preds", str(tmp_path / "preds.jsonl"),
+        "--truth", str(tmp_path / "truth.jsonl"), "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: example 'e': {message}\n"
+    assert not (tmp_path / "report.json").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from seqpost.decoder import (
     smooth_labels,
     train,
 )
+from seqpost.ensemble import softmax_rows
 from seqpost.rng import CounterRng
 from seqpost.vocab import Action, ActionSequence
 
@@ -52,6 +54,10 @@ def test_smooth_against_scalar_oracle():
 def test_smooth_rejects_non_onehot():
     with pytest.raises(ValueError, match="row 1"):
         smooth_labels(np.array([[1.0, 0.0], [0.5, 0.5]]))
+    stack = np.stack([np.eye(2), np.eye(2)])
+    stack[1, 0] = [0.5, 0.5]
+    with pytest.raises(ValueError, match="row 1, 0 is not one-hot"):
+        smooth_labels(stack)
 
 
 def test_smooth_rows_sum_and_argmax_preserved():
@@ -148,6 +154,8 @@ def test_forward_dimension_mismatch():
     dec = MultiHeadDecoder.init(4, 2, 3, 3)
     with pytest.raises(ValueError, match="feature"):
         decoder_forward(dec, np.zeros(5))
+    with pytest.raises(ValueError, match="feature"):
+        decoder_forward(dec, np.zeros((2, 2, 4)))
 
 
 def _toy_dataset(n, feature_dim, z, c_verb, c_noun, seed):
@@ -273,3 +281,110 @@ def test_init_weights_equal_scalar_gauss_reference(feature_dim, num_steps, c_ver
         shape = (num_steps, feature_dim, c)
         flat = np.array([rng.gauss() for _ in range(int(np.prod(shape)))])
         assert weights.tobytes() == (0.05 * flat.reshape(shape)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# pinned training run: 7 examples in batches of 3, so the last batch is uneven
+
+
+def pinned_train_rows(n=7, feature_dim=5, z=3):
+    """Training rows with dyadic features; verb ids < 4, noun ids < 9."""
+    return [
+        {
+            "features": [((i * 7 + d * 3) % 11 - 5) / 4 for d in range(feature_dim)],
+            "actions": [[(i + t) % 4, (2 * i + 3 * t) % 9] for t in range(z)],
+        }
+        for i in range(n)
+    ]
+
+
+PINNED_TRAIN = {
+    False: (
+        "1c362dfec73ab1e67164560dfa16b200164ea4c503c2a773b13ae6bee4f018e2",
+        ["0x1.60d33904888b0p+3", "0x1.1b459415354ebp+3", "0x1.ca29793e861d9p+2",
+         "0x1.832535104c3eep+2", "0x1.52f4be8936289p+2", "0x1.323234c34b64ep+2"],
+    ),
+    True: (
+        "f9ded1d4d01e07bcc35be46e97bbc9e27c069cd4c3556f941099414ebc40863d",
+        ["0x1.5888261a5172dp+3", "0x1.3526e2eda1edbp+3", "0x1.193c46dea27bfp+3",
+         "0x1.07175739b9b48p+3", "0x1.f30d75d7be395p+2", "0x1.e13b28cd1e81dp+2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("smoothing", [False, True], ids=["onehot", "smoothed"])
+def test_train_checkpoint_and_history_pinned(smoothing):
+    dataset = [
+        (np.array(row["features"]), ActionSequence(f"line{i + 1}", tuple(Action(*a) for a in row["actions"])))
+        for i, row in enumerate(pinned_train_rows())
+    ]
+    cfg = TrainConfig(learning_rate=0.4, epochs=6, batch_size=3,
+                      use_label_smoothing=smoothing, rng_seed=2)
+    trained, history = train(MultiHeadDecoder.init(5, 3, 4, 9, seed=2), dataset, cfg)
+    digest, hexes = PINNED_TRAIN[smoothing]
+    assert hashlib.sha256(trained.to_json().encode()).hexdigest() == digest
+    assert [h.hex() for h in history] == hexes
+
+
+# ---------------------------------------------------------------------------
+# batched forms equal their one-row forms bit for bit
+
+
+def _loss_and_grad_per_example(dec, batch, use_smoothing):
+    """Reference: one forward pass per example, one cross-entropy per row."""
+    grads = {key: np.zeros_like(getattr(dec, key))
+             for key in ("verb_weights", "verb_biases", "noun_weights", "noun_biases")}
+    total_loss = 0.0
+    for features, seq in batch:
+        dists = softmax_rows(decoder_forward(dec, features))
+        for axis, probs in (("verb", dists.verb_probs), ("noun", dists.noun_probs)):
+            targets = np.eye(probs.shape[1])[[getattr(a, f"{axis}_id") for a in seq.actions]]
+            if use_smoothing:
+                targets = smooth_labels(targets)
+            for z in range(dec.num_steps):
+                total_loss += cross_entropy(probs[z], targets[z])
+            delta = probs - targets
+            grads[f"{axis}_weights"] += np.einsum("d,zc->zdc", features, delta)
+            grads[f"{axis}_biases"] += delta
+    scale = 1.0 / len(batch)
+    return total_loss * scale, {key: grad * scale for key, grad in grads.items()}
+
+
+@pytest.mark.parametrize("smoothing", [False, True], ids=["onehot", "smoothed"])
+def test_batched_loss_and_grad_equals_per_example_loop(smoothing):
+    rng = CounterRng(16)
+    for _ in range(40):
+        b, d, z = 1 + rng.randint(9), 1 + rng.randint(9), 1 + rng.randint(8)
+        c_verb, c_noun = 1 + rng.randint(12), 1 + rng.randint(20)
+        dec = MultiHeadDecoder.init(d, z, c_verb, c_noun, seed=rng.randint(1000), init_scale=0.5)
+        batch = _toy_dataset(b, d, z, c_verb, c_noun, seed=rng.randint(1000))
+        loss, grads = loss_and_grad(dec, batch, smoothing)
+        ref_loss, ref_grads = _loss_and_grad_per_example(dec, batch, smoothing)
+        assert loss.hex() == ref_loss.hex()
+        assert grads.keys() == ref_grads.keys()
+        for key, grad in grads.items():
+            assert grad.tobytes() == ref_grads[key].tobytes()
+
+
+def test_batched_forms_equal_row_forms():
+    rng = CounterRng(15)
+    for _ in range(100):
+        b, d, z = 1 + rng.randint(6), 1 + rng.randint(9), 1 + rng.randint(8)
+        c_verb, c_noun = 1 + rng.randint(12), 1 + rng.randint(12)
+        dec = MultiHeadDecoder.init(d, z, c_verb, c_noun, seed=rng.randint(1000), init_scale=0.5)
+        features = rng.normals(b * d).reshape(b, d)
+        batched = decoder_forward(dec, features)
+        for i in range(b):
+            one = decoder_forward(dec, features[i])
+            assert batched.verb_logits[i * z:(i + 1) * z].tobytes() == one.verb_logits.tobytes()
+            assert batched.noun_logits[i * z:(i + 1) * z].tobytes() == one.noun_logits.tobytes()
+
+        onehots = np.eye(c_noun)[[[rng.randint(c_noun) for _ in range(z)] for _ in range(b)]]
+        smoothed = smooth_labels(onehots)
+        pred = np.abs(rng.normals(b * z * c_noun)).reshape(b, z, c_noun)
+        losses = cross_entropy(pred, smoothed)
+        assert losses.shape == (b, z)
+        for i in range(b):
+            assert smoothed[i].tobytes() == smooth_labels(onehots[i]).tobytes()
+            for t in range(z):
+                assert losses[i, t].tobytes() == np.float64(cross_entropy(pred[i, t], smoothed[i, t])).tobytes()

@@ -215,30 +215,6 @@ def test_z_mismatch_errors():
         generate_patterns(_synthetic_dists(7, z=5), _corpus_stats(), PredictionConfig(6, 2))
 
 
-def test_seed_action_first_step_policy():
-    from seqpost.synth import SynthConfig, gen_markov_corpus, make_vocabularies
-
-    cfg = SynthConfig(
-        c_verb=3, c_noun=3, num_sequences=100, seq_len=10,
-        transition_sharpness=50.0, verb_noun_coupling=0.8, rng_seed=1,
-    )
-    corpus, _ = gen_markov_corpus(cfg)
-    vv, nv = make_vocabularies(cfg)
-    stats = build_stats(corpus, vv, nv, SmoothingConfig())
-    # uniform distributions so the transition structure alone decides
-    dists = StepDistributions("e", np.full((4, 3), 1 / 3), np.full((4, 3), 1 / 3))
-    plain = generate_patterns(dists, stats, PredictionConfig(4, 2))
-    seeded = generate_patterns(
-        dists, stats, PredictionConfig(4, 2, first_step=Action(0, 0))
-    )
-    # raw pattern ignores the policy
-    assert plain.patterns[0] == seeded.patterns[0]
-    # the planted successor structure makes the seeded chain start at the
-    # seed's successor (class 1) instead of the unrefined tie-break (class 0)
-    assert seeded.patterns[1] != plain.patterns[1]
-    assert seeded.patterns[1][0] == Action(1, 1)
-
-
 def test_prediction_set_json_roundtrip():
     preds = generate_patterns(
         _synthetic_dists(9), _corpus_stats(), PredictionConfig(6, 3, rng_seed=5)
