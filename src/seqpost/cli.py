@@ -12,25 +12,32 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 from . import __version__
 from .cooc import CoocStats, IndicatorMode, SmoothingConfig, build_stats
 from .decoder import MultiHeadDecoder, TrainConfig, load_train_dataset, train
 from .ensemble import (
     EnsembleWeights,
+    LogitsTensor,
     combine_logits,
     dump_logits,
+    iter_logits,
     load_logits,
     softmax_rows,
 )
 from .metric import evaluate_corpus
-from .refine import (
+# load_predictions is not called here, but perfbench/tracing.py wraps it by
+# this name in this module, so it stays imported.
+from .refine import (  # noqa: F401
     PredictionConfig,
     dump_predictions,
     generate_patterns,
+    iter_predictions,
     load_predictions,
 )
 from .synth import (
@@ -98,11 +105,13 @@ def _say(args, message):
 
 
 def _load_file(path: str, parse, kind: str):
-    """``parse`` applied to a whole JSON file; a malformed one is a CliError."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    """``parse`` applied to a whole JSON file; a malformed one is a CliError.
+    The raw bytes are freed once decoded, so only the text is held while
+    ``parse`` runs."""
     try:
-        return parse(data.decode())
+        with open(path, "rb") as handle:
+            text = handle.read().decode()
+        return parse(text)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad {kind} file: {exc}") from exc
 
@@ -141,28 +150,42 @@ def cmd_stats(args) -> list[str]:
 
 
 def cmd_ensemble(args) -> list[str]:
-    a_list = load_logits(args.logits_a)
-    b_list = load_logits(args.logits_b)
-    if len(a_list) != len(b_list):
-        raise CliError(f"logits files differ in length: {len(a_list)} vs {len(b_list)}")
+    if args.sweep and not args.truth:
+        raise CliError("--sweep requires --truth")
+    if not args.sweep and not args.out:
+        raise CliError("--out is required unless --sweep is given")
     weights = EnsembleWeights(alpha=args.alpha, beta=args.beta)
 
     if args.sweep:
-        _sweep(args, a_list, b_list)
+        _sweep(args)
         return []
 
-    if not args.out:
-        raise CliError("--out is required unless --sweep is given")
-    combined = [combine_logits(a, b, weights) for a, b in zip(a_list, b_list)]
+    combined = [combine_logits(a, b, weights) for a, b in _logits_pairs(args.logits_a, args.logits_b)]
     dump_logits(combined, args.out)
     _say(args, f"{len(combined)} examples combined (alpha={args.alpha}, beta={args.beta}) -> {args.out}")
     return [args.out]
 
 
-def _sweep(args, a_list, b_list) -> None:
-    """Grid search over (alpha, beta) scored by raw-argmax action ED; writes no file."""
-    if not args.truth:
-        raise CliError("--sweep requires --truth")
+def _logits_pairs(path_a: str, path_b: str) -> Iterator[tuple[LogitsTensor, LogitsTensor]]:
+    """The records of two logits files read in lockstep, one pair at a time.
+    Files of different lengths are a CliError giving both record counts, so
+    the rest of the longer file is read to count it."""
+    a_records, b_records = iter_logits(path_a), iter_logits(path_b)
+    for n, (a, b) in enumerate(itertools.zip_longest(a_records, b_records)):
+        if a is None or b is None:
+            rest = 1 + sum(1 for _ in (b_records if a is None else a_records))
+            n_a, n_b = (n, n + rest) if a is None else (n + rest, n)
+            raise CliError(f"logits files differ in length: {n_a} vs {n_b}")
+        yield a, b
+
+
+def _sweep(args) -> None:
+    """Grid search over (alpha, beta) scored by raw-argmax action ED; writes no
+    file. Every weight pair scores the whole dev split, so it is read whole."""
+    a_list = load_logits(args.logits_a)
+    b_list = load_logits(args.logits_b)
+    if len(a_list) != len(b_list):
+        raise CliError(f"logits files differ in length: {len(a_list)} vs {len(b_list)}")
     truths = load_corpus(args.truth)
     grid = [round(0.1 * i, 1) for i in range(0, 21)]
     raw_cfgs = [PredictionConfig(num_steps=a.num_steps, num_patterns=1) for a in a_list]
@@ -190,23 +213,18 @@ def _sweep(args, a_list, b_list) -> None:
 
 
 def cmd_refine(args) -> list[str]:
-    tensors = load_logits(args.logits)
-    if args.logits_b:
-        b_list = load_logits(args.logits_b)
-        if len(tensors) != len(b_list):
-            raise CliError(f"logits files differ in length: {len(tensors)} vs {len(b_list)}")
-        weights = EnsembleWeights(alpha=args.alpha, beta=args.beta)
-        # combined in place, so model a, model b and the result are never all held
-        for i, b in enumerate(b_list):
-            tensors[i] = combine_logits(tensors[i], b, weights)
-        del b_list
-
-    refining = args.k >= 2
-    if refining and not args.stats:
+    """Refine each example as it is read: only the predictions are held until
+    they are written, so memory does not grow with the logits files."""
+    if args.k >= 2 and not args.stats:
         raise CliError("refinement (k >= 2) requires --stats")
     stats = None
     if args.stats:
         stats = _load_file(args.stats, CoocStats.from_json, "stats")
+    if args.logits_b:
+        weights = EnsembleWeights(alpha=args.alpha, beta=args.beta)
+        tensors = (combine_logits(a, b, weights) for a, b in _logits_pairs(args.logits, args.logits_b))
+    else:
+        tensors = iter_logits(args.logits)
 
     pred_cfg = PredictionConfig(
         num_steps=args.z,
@@ -278,9 +296,10 @@ def cmd_train(args) -> list[str]:
 
 
 def cmd_eval(args) -> list[str]:
-    preds = load_predictions(args.preds)
     truths = load_corpus(args.truth)
-    report = evaluate_corpus(preds, truths, allow_transposition=not args.no_transposition,
+    # each prediction is scored as it is read
+    report = evaluate_corpus(iter_predictions(args.preds), truths,
+                             allow_transposition=not args.no_transposition,
                              keep_per_example=args.per_example)
     with open(args.out, "w") as handle:
         handle.write(report.to_json() + "\n")
@@ -332,13 +351,13 @@ def cmd_synth_gen(args) -> tuple[list[str], dict, int]:
     dump_corpus(corpus, args.out_corpus)
     outputs = [args.out_corpus]
     if args.out_logits:
-        tensors = [
+        tensors = (
             corrupt_to_logits_sized(
                 seq, cfg.logit_noise_sigma, raw.get("logit_scale", 1.0),
                 cfg.rng_seed, cfg.c_verb, cfg.c_noun, stream=cfg.num_sequences + i,
             )
             for i, seq in enumerate(corpus)
-        ]
+        )
         dump_logits(tensors, args.out_logits)
         outputs.append(args.out_logits)
     if args.out_vocab_prefix:

@@ -145,9 +145,11 @@ def _table_json(table: np.ndarray) -> Iterator[str]:
     Entries are deduplicated on their bits, so -0.0 and 0.0 keep their own
     spellings."""
     bits = np.ascontiguousarray(table, dtype=np.float64).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
+    distinct = np.unique(bits)
     texts = list(map(repr, distinct.view(np.float64).tolist()))
-    inverse = inverse.reshape(table.shape)
+    # each entry's index into ``distinct``, in the table's shape; np.unique's
+    # return_inverse gives the same but holds several table-sized temporaries
+    inverse = distinct.searchsorted(bits)
     if table.ndim == 1:
         yield "["
         yield ", ".join(map(texts.__getitem__, inverse.tolist()))
@@ -179,12 +181,16 @@ def corpus_fingerprint(corpus: list[ActionSequence]) -> str:
 
 
 def _normalize_rows(counts: np.ndarray, add_k: float) -> np.ndarray:
-    counts = counts + add_k
+    """Smoothed rows of ``counts``, which are overwritten and returned, so
+    that no table-sized temporary is made."""
+    counts += add_k
     totals = counts.sum(axis=1, keepdims=True)
+    seen = totals > 0
+    counts /= np.where(seen, totals, 1.0)
     # A class that never appears as a context with add_k == 0 has no evidence
     # either way, so its row falls back to uniform rather than refusing to build.
-    seen = totals > 0
-    return np.where(seen, counts / np.where(seen, totals, 1.0), 1.0 / counts.shape[1])
+    counts[~seen[:, 0]] = 1.0 / counts.shape[1]
+    return counts
 
 
 def build_stats(

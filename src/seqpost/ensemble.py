@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .vocab import load_records
+from .vocab import iter_records, record_id
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class LogitsTensor:
     @classmethod
     def from_obj(cls, obj: dict) -> "LogitsTensor":
         return cls(
-            example_id=obj["example_id"],
+            example_id=record_id(obj, "example_id"),
             verb_logits=np.array(obj["verb_logits"], dtype=np.float64),
             noun_logits=np.array(obj["noun_logits"], dtype=np.float64),
         )
@@ -110,11 +111,16 @@ def softmax_rows(logits: LogitsTensor) -> StepDistributions:
     )
 
 
+def iter_logits(path: str) -> Iterator[LogitsTensor]:
+    """The records of a logits file, parsed one at a time as they are read."""
+    return iter_records(path, LogitsTensor.from_obj, "logits")
+
+
 def load_logits(path: str) -> list[LogitsTensor]:
-    return load_records(path, LogitsTensor.from_obj, "logits")
+    return list(iter_logits(path))
 
 
-def dump_logits(tensors: list[LogitsTensor], path: str) -> None:
+def dump_logits(tensors: Iterable[LogitsTensor], path: str) -> None:
     with open(path, "w") as handle:
         for tensor in tensors:
             handle.write(tensor.to_json() + "\n")

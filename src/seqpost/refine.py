@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .cooc import CoocStats, IndicatorMode, transition_score_row
 from .ensemble import StepDistributions
 from .rng import CounterRng
-from .vocab import Action, load_records, parse_actions
+from .vocab import Action, iter_records, parse_actions, record_id
 
 TIER_RAW_ARGMAX = "raw_argmax"
 TIER_REFINED_ARGMAX = "refined_argmax"
@@ -66,7 +66,7 @@ class PredictionSet:
     @classmethod
     def from_obj(cls, obj: dict) -> "PredictionSet":
         return cls(
-            example_id=obj["example_id"],
+            example_id=record_id(obj, "example_id"),
             patterns=tuple(parse_actions(pattern) for pattern in obj["patterns"]),
             tiers=tuple(obj["tiers"]),
         )
@@ -184,8 +184,13 @@ def generate_patterns(
     )
 
 
+def iter_predictions(path: str) -> Iterator[PredictionSet]:
+    """The records of a predictions file, parsed one at a time as they are read."""
+    return iter_records(path, PredictionSet.from_obj, "prediction")
+
+
 def load_predictions(path: str) -> list[PredictionSet]:
-    return load_records(path, PredictionSet.from_obj, "prediction")
+    return list(iter_predictions(path))
 
 
 def dump_predictions(pred_sets: list[PredictionSet], path: str) -> None:

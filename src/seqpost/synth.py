@@ -81,7 +81,8 @@ def _circulant_transition(num_classes: int, sharpness: float) -> np.ndarray:
     table = np.ones((num_classes, num_classes))
     for i in range(num_classes):
         table[i, (i + 1) % num_classes] = sharpness
-    return table / table.sum(axis=1, keepdims=True)
+    table /= table.sum(axis=1, keepdims=True)
+    return table
 
 
 def planted_tables(cfg: SynthConfig) -> CoocStats:

@@ -64,6 +64,15 @@ def parse_actions(pairs) -> tuple[Action, ...]:
     return tuple(actions)
 
 
+def record_id(obj: dict, key: str) -> str:
+    """``obj[key]``, which must be a JSON string: a numeric id such as ``7``
+    would never match the same id spelled ``"7"`` in another file."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} {value!r} is not a string")
+    return value
+
+
 @dataclass(frozen=True)
 class ActionSequence:
     episode_id: str
@@ -90,7 +99,7 @@ class ActionSequence:
     @classmethod
     def from_obj(cls, obj: dict) -> "ActionSequence":
         return cls(
-            episode_id=obj["episode_id"],
+            episode_id=record_id(obj, "episode_id"),
             actions=parse_actions(obj["actions"]),
         )
 
@@ -154,13 +163,17 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, dict]]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
 
 
-def load_records(path: str, parse: Callable[[dict], T], kind: str) -> list[T]:
-    """``parse`` applied to each record of a JSONL file; a record it rejects
-    raises ValueError naming ``path:lineno``."""
-    out = []
+def iter_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[T]:
+    """``parse`` applied to each record of a JSONL file, one record at a time;
+    a record it rejects raises ValueError naming ``path:lineno``."""
     for lineno, obj in iter_jsonl(path):
         try:
-            out.append(parse(obj))
+            record = parse(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
-    return out
+        yield record
+
+
+def load_records(path: str, parse: Callable[[dict], T], kind: str) -> list[T]:
+    """Every record of ``iter_records`` in a list."""
+    return list(iter_records(path, parse, kind))

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import seqpost.cli
+import seqpost.metric
 from seqpost.cli import main
 from seqpost.cooc import CoocStats
+from seqpost.ensemble import LogitsTensor
+from seqpost.refine import PredictionSet
 
 
 @pytest.fixture
@@ -720,3 +724,206 @@ def test_eval_empty_truth_or_patterns_is_one_error_line(tmp_path, capsys, truth,
     assert code == 1
     assert capsys.readouterr().err == f"error: example 'e': {message}\n"
     assert not (tmp_path / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# refine, ensemble and eval read their JSONL inputs one record at a time
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def _assert_no_output(ws, out="out.jsonl"):
+    assert not (ws / out).exists()
+    assert not (ws / f"{out}.manifest.json").exists()
+
+
+def _two_model_argv(ws, command, logits_b):
+    """refine (with stats, K=4) or ensemble over logits.jsonl and ``logits_b``, to out.jsonl."""
+    if command == "ensemble":
+        return ["ensemble", "--quiet", "--logits-a", str(ws / "logits.jsonl"),
+                "--logits-b", str(logits_b), "--out", str(ws / "out.jsonl")]
+    return ["refine", "--quiet", "--stats", str(ws / "stats.json"), "--logits", str(ws / "logits.jsonl"),
+            "--logits-b", str(logits_b), "--z", "6", "--k", "4", "--out", str(ws / "out.jsonl")]
+
+
+@pytest.mark.parametrize("command", ["refine", "ensemble"])
+@pytest.mark.parametrize("edit, counts", [
+    (lambda lines: lines[:15], "20 vs 15"),
+    (lambda lines: lines + lines[:5], "20 vs 25"),
+], ids=["b_shorter", "b_longer"])
+def test_logits_files_differ_in_length_is_one_error_line(workspace, capsys, command, edit, counts):
+    assert _build_stats(workspace) == 0
+    logits_b = workspace / "logits_b.jsonl"
+    _write_lines(logits_b, edit((workspace / "logits.jsonl").read_text().splitlines()))
+    assert main(_two_model_argv(workspace, command, logits_b)) == 1
+    assert capsys.readouterr().err == f"error: logits files differ in length: {counts}\n"
+    _assert_no_output(workspace)
+
+
+@pytest.mark.parametrize("command, consumer", [
+    ("refine", "generate_patterns"), ("ensemble", "combine_logits"),
+])
+def test_two_logits_files_are_read_in_lockstep(workspace, monkeypatch, command, consumer):
+    """Example i is refined or combined once exactly i + 1 records of each file are parsed."""
+    assert _build_stats(workspace) == 0
+    lines = (workspace / "logits.jsonl").read_text().splitlines()
+    logits_b = workspace / "logits_b.jsonl"
+    _write_lines(logits_b, [json.dumps(json.loads(line) | {"model": "b"}) for line in lines])
+    parsed = {"a": 0, "b": 0}
+    from_obj = LogitsTensor.from_obj
+
+    def counting_from_obj(obj):
+        parsed[obj.get("model", "a")] += 1
+        return from_obj(obj)
+
+    seen = []
+    consume = getattr(seqpost.cli, consumer)
+
+    def recording(*args, **kwargs):
+        seen.append((parsed["a"], parsed["b"]))
+        return consume(*args, **kwargs)
+
+    monkeypatch.setattr(LogitsTensor, "from_obj", staticmethod(counting_from_obj))
+    monkeypatch.setattr(seqpost.cli, consumer, recording)
+    assert main(_two_model_argv(workspace, command, logits_b)) == 0
+    assert seen == [(i + 1, i + 1) for i in range(len(lines))]
+
+
+def test_eval_scores_each_prediction_as_it_is_read(workspace, monkeypatch):
+    assert _build_stats(workspace) == 0
+    assert _run_pipeline(workspace, "preds.jsonl") == 0
+    parsed = []
+    from_obj = PredictionSet.from_obj
+
+    def counting_from_obj(obj):
+        parsed.append(obj["example_id"])
+        return from_obj(obj)
+
+    seen = []
+    ed_at_k = seqpost.metric.ed_at_k
+
+    def recording(preds, *args, **kwargs):
+        seen.append((preds.example_id, len(parsed)))
+        return ed_at_k(preds, *args, **kwargs)
+
+    monkeypatch.setattr(PredictionSet, "from_obj", staticmethod(counting_from_obj))
+    monkeypatch.setattr(seqpost.metric, "ed_at_k", recording)
+    assert main(["eval", "--quiet", "--preds", str(workspace / "preds.jsonl"),
+                 "--truth", str(workspace / "corpus.jsonl"), "--out", str(workspace / "r.json")]) == 0
+    # three axes per example, each scored before the next record is parsed
+    assert seen == [(example_id, i + 1) for i, example_id in enumerate(parsed) for _ in range(3)]
+
+
+def test_synth_gen_writes_each_logits_record_before_making_the_next(workspace, monkeypatch):
+    expected = (workspace / "logits.jsonl").read_bytes()
+    events = []
+    corrupt = seqpost.cli.corrupt_to_logits_sized
+    to_json = LogitsTensor.to_json
+
+    def recording_corrupt(*args, **kwargs):
+        events.append("make")
+        return corrupt(*args, **kwargs)
+
+    def recording_to_json(self):
+        events.append("write")
+        return to_json(self)
+
+    monkeypatch.setattr(seqpost.cli, "corrupt_to_logits_sized", recording_corrupt)
+    monkeypatch.setattr(LogitsTensor, "to_json", recording_to_json)
+    out = workspace / "again"
+    assert main(["synth", "gen", "--quiet", "--config", str(workspace / "synth.json"),
+                 "--out-corpus", f"{out}.corpus.jsonl", "--out-logits", f"{out}.logits.jsonl"]) == 0
+    assert events == ["make", "write"] * 20
+    assert (workspace / "again.logits.jsonl").read_bytes() == expected
+
+
+def _drop_key_of_last_line(path, key):
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[-1])
+    del obj[key]
+    _write_lines(path, lines[:-1] + [json.dumps(obj)])
+    return len(lines)
+
+
+def test_refine_bad_last_record_of_logits_b_is_one_error_line(workspace, capsys):
+    assert _build_stats(workspace) == 0
+    logits_b = workspace / "logits_b.jsonl"
+    logits_b.write_bytes((workspace / "logits.jsonl").read_bytes())
+    last = _drop_key_of_last_line(logits_b, "noun_logits")
+    assert main(_two_model_argv(workspace, "refine", logits_b)) == 1
+    assert capsys.readouterr().err == f"error: {logits_b}:{last}: bad logits record: 'noun_logits'\n"
+    _assert_no_output(workspace)
+
+
+def test_eval_bad_last_record_of_preds_is_one_error_line(workspace, capsys):
+    assert _build_stats(workspace) == 0
+    assert _run_pipeline(workspace, "preds.jsonl") == 0
+    preds = workspace / "preds.jsonl"
+    last = _drop_key_of_last_line(preds, "tiers")
+    assert main(["eval", "--quiet", "--preds", str(preds), "--truth", str(workspace / "corpus.jsonl"),
+                 "--out", str(workspace / "out.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: {preds}:{last}: bad prediction record: 'tiers'\n"
+    _assert_no_output(workspace)
+
+
+@pytest.mark.parametrize("kind", ["sequence", "logits", "prediction"])
+def test_non_string_record_id_is_one_error_line(workspace, capsys, kind):
+    assert _build_stats(workspace) == 0
+    assert _run_pipeline(workspace, "preds.jsonl") == 0
+    source, key = {
+        "sequence": ("corpus.jsonl", "episode_id"),
+        "logits": ("logits.jsonl", "example_id"),
+        "prediction": ("preds.jsonl", "example_id"),
+    }[kind]
+    lines = (workspace / source).read_text().splitlines()
+    bad = workspace / f"numeric_{source}"
+    _write_lines(bad, [lines[0], json.dumps(json.loads(lines[1]) | {key: 7})] + lines[2:])
+    argv = {
+        "sequence": ["stats", "--train", str(bad), "--verb-vocab", str(workspace / "vocab.verb.json"),
+                     "--noun-vocab", str(workspace / "vocab.noun.json")],
+        "logits": ["refine", "--logits", str(bad), "--z", "6", "--k", "1"],
+        "prediction": ["eval", "--preds", str(bad), "--truth", str(workspace / "corpus.jsonl")],
+    }[kind]
+    assert main(argv + ["--quiet", "--out", str(workspace / "out.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: bad {kind} record: {key} 7 is not a string\n"
+    _assert_no_output(workspace)
+
+
+def test_eval_numeric_truth_id_does_not_silently_miss_a_string_prediction_id(tmp_path, capsys):
+    truth = tmp_path / "truth.jsonl"
+    _write_lines(truth, [json.dumps({"episode_id": 7, "actions": [[0, 0]]})])
+    preds = tmp_path / "preds.jsonl"
+    _write_lines(preds, [json.dumps({"example_id": "7", "patterns": [[[0, 0]]], "tiers": ["raw_argmax"]})])
+    assert main(["eval", "--quiet", "--preds", str(preds), "--truth", str(truth),
+                 "--out", str(tmp_path / "out.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: {truth}:1: bad sequence record: episode_id 7 is not a string\n"
+    _assert_no_output(tmp_path)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([], "--out is required unless --sweep is given"),
+    (["--sweep"], "--sweep requires --truth"),
+], ids=["no_out", "sweep_no_truth"])
+def test_ensemble_usage_error_comes_before_reading_logits(tmp_path, capsys, extra, message):
+    missing = str(tmp_path / "missing.jsonl")
+    assert main(["ensemble", "--quiet", "--logits-a", missing, "--logits-b", missing, *extra]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["refine", "eval"])
+def test_stats_or_truth_error_comes_before_reading_the_stream(workspace, capsys, command):
+    """A command that streams logits or predictions first loads the file it holds whole."""
+    bad = workspace / "bad.json"
+    bad.write_text("not json\n")
+    missing = str(workspace / "missing.jsonl")
+    if command == "refine":
+        argv = ["refine", "--stats", str(bad), "--logits", missing, "--z", "6"]
+        prefix = f"{bad}: bad stats file: "
+    else:
+        argv = ["eval", "--preds", missing, "--truth", str(bad)]
+        prefix = f"{bad}:1: invalid JSON: "
+    assert main(argv + ["--quiet", "--out", str(workspace / "out.jsonl")]) == 1
+    _one_error_line(capsys, prefix)
+    _assert_no_output(workspace)

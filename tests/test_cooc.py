@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,15 +302,18 @@ def test_stats_json_equals_json_dumps_on_edge_tables(table):
     _assert_writes_json_dumps_and_reads_back(_stats_holding(table))
 
 
-def test_stats_json_equals_json_dumps_at_lta_size():
+def _lta_corpus():
     gen = np.random.default_rng(3)
-    corpus = [
+    return [
         ActionSequence(f"e{i}", tuple(
             Action(int(v), int(n)) for v, n in zip(gen.integers(115, size=20), gen.integers(478, size=20))
         ))
         for i in range(200)
     ]
-    stats = _stats_for(corpus, c_verb=115, c_noun=478)
+
+
+def test_stats_json_equals_json_dumps_at_lta_size():
+    stats = _stats_for(_lta_corpus(), c_verb=115, c_noun=478)
     assert stats.noun_transition.shape == (478, 478)
     _assert_writes_json_dumps_and_reads_back(stats)
     # a handle gets the text a row at a time, never the 6 MB whole
@@ -317,6 +321,21 @@ def test_stats_json_equals_json_dumps_at_lta_size():
     stats.to_json(streamed)
     longest_row = max(len(json.dumps(row)) for row in stats.noun_transition.tolist())
     assert streamed.longest <= longest_row
+
+
+def test_stats_build_makes_no_table_sized_temporary():
+    """At lta size, building the stats allocates less than one more table
+    beyond the tables it returns: the count tables are smoothed in place."""
+    corpus = _lta_corpus()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stats = _stats_for(corpus, c_verb=115, c_noun=478)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(stats, name).nbytes for name in TABLES)
+    assert peak - held < stats.noun_transition.nbytes
 
 
 def test_stats_json_integer_entries_load():
