@@ -17,8 +17,10 @@ score is finite for every index pair.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -119,8 +121,10 @@ class CoocStats:
         yield "}"
 
     @classmethod
-    def from_json(cls, text: str) -> "CoocStats":
-        obj = json.loads(text, parse_float=_FloatMemo().__getitem__)
+    def from_json(cls, source: str | TextIO) -> "CoocStats":
+        """Stats from the text of a stats file, or from a text handle, which
+        is read a chunk at a time (see ``_StatsReader``)."""
+        obj = _StatsReader(io.StringIO(source) if isinstance(source, str) else source).read()
         smoothing = SmoothingConfig(**obj["smoothing"])
         stats = cls(
             **{name: np.array(obj[name], dtype=np.float64) for name in _TABLES},
@@ -170,6 +174,102 @@ class _FloatMemo(dict):
     def __missing__(self, text):
         value = self[text] = float(text)
         return value
+
+
+# Characters a stats file is read in at a time.
+_CHUNK = 1 << 16
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+# What may follow a whole JSON value: one that ends the text read so far, or
+# that something else follows ("1.5" of "1.5e3"), may go on.
+_AFTER_VALUE = frozenset(" \t\n\r,:]}")
+
+
+class _StatsReader:
+    """``json.loads`` of a text handle's text, read ``_CHUNK`` characters at a
+    time and never held whole: a top-level object is walked member by member,
+    and an array member one element (a table row) at a time, with every float
+    parsed through one ``_FloatMemo``. Any other text (malformed, or not an
+    object) is read again whole from the start of the handle and left to
+    ``json.loads``, so it gives the value or the error, with line, column and
+    char, that ``json.loads`` gives; a handle that cannot seek, such as a
+    pipe, gives one plain error instead.
+    """
+
+    def __init__(self, handle: TextIO):
+        self.handle = handle
+        self.decoder = json.JSONDecoder(parse_float=_FloatMemo().__getitem__)
+        self.buf, self.pos = "", 0
+
+    def read(self):
+        try:
+            if self._skip_ws() == "{":
+                obj = dict(self._members("}", self._member))
+                if not self._skip_ws():
+                    return obj
+        except json.JSONDecodeError:
+            pass
+        if not self.handle.seekable():
+            raise ValueError("not a well-formed JSON object; read it from a file to locate the fault")
+        self.handle.seek(0)
+        return json.loads(self.handle.read(), parse_float=self.decoder.parse_float)
+
+    def _member(self) -> tuple:
+        key = self._value()
+        if not isinstance(key, str):
+            raise json.JSONDecodeError("Expecting a key", self.buf, self.pos)
+        self._expect(":")
+        if self._skip_ws() == "[":
+            return key, list(self._members("]", self._value))
+        return key, self._value()
+
+    def _members(self, close: str, decode) -> Iterator:
+        """Decode the object or array whose bracket is at pos one member at a
+        time with ``decode``, and move past it."""
+        self.pos += 1
+        if self._skip_ws() == close:
+            self.pos += 1
+            return
+        while True:
+            yield decode()
+            if self._expect("," + close) == close:
+                return
+
+    def _expect(self, chars: str) -> str:
+        """Move past whitespace and then the next character, which must be one of ``chars``."""
+        char = self._skip_ws()
+        if not char or char not in chars:
+            raise json.JSONDecodeError(f"Expecting one of {chars!r}", self.buf, self.pos)
+        self.pos += 1
+        return char
+
+    def _skip_ws(self) -> str:
+        """Move past whitespace; the next character, or '' at the end."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self._more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def _value(self):
+        """Move past whitespace and the value after it; that value."""
+        self._skip_ws()
+        while True:
+            try:
+                value, end = self.decoder.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError:
+                if self._more():
+                    continue
+                raise
+            if (end < len(self.buf) and self.buf[end] in _AFTER_VALUE) or not self._more():
+                self.pos = end
+                return value
+
+    def _more(self) -> bool:
+        """Drop the text before pos and read at least a chunk more, and as much
+        as is kept, so that a long value takes few reads; False at the end."""
+        text = self.handle.read(max(_CHUNK, len(self.buf) - self.pos))
+        if text:
+            self.buf, self.pos = self.buf[self.pos:] + text, 0
+        return bool(text)
 
 
 def corpus_fingerprint(corpus: list[ActionSequence]) -> str:
@@ -256,12 +356,17 @@ def transition_score_row(
         marginal = stats.marginal(axis)
         transition = stats.transition(axis)
         clamped = np.clip(marginal, lo, hi)
+        # the table below is built in place, leaving one table-sized temporary
         if mode is IndicatorMode.AS_WRITTEN:
-            num = np.clip(transition, lo, hi)
+            log_num = np.clip(transition, lo, hi)
         else:
-            num = np.clip(transition * marginal[:, None], lo, hi)
-        log_num = np.log(num)
-        table = (log_num - np.log(clamped[:, None] * clamped)) / -log_num
+            log_num = transition * marginal[:, None]
+            np.clip(log_num, lo, hi, out=log_num)
+        np.log(log_num, out=log_num)
+        table = np.multiply.outer(clamped, clamped)
+        np.log(table, out=table)
+        np.subtract(log_num, table, out=table)
+        np.divide(table, np.negative(log_num, out=log_num), out=table)
         table.flags.writeable = False
         rows = stats._score_rows[(axis, mode)] = list(table)
     return rows[prev]

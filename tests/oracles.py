@@ -10,6 +10,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
+from seqpost.cooc import CoocStats, IndicatorMode, SmoothingConfig
 from seqpost.rng import CounterRng
 
 
@@ -126,3 +127,35 @@ def stats_json_dumps(stats):
             "corpus_fingerprint": stats.corpus_fingerprint,
         }
     )
+
+
+STATS_TABLES = ("verb_marginal", "noun_marginal", "verb_transition", "noun_transition",
+                "verb_given_noun")
+
+
+def stats_from_whole_text(text):
+    """CoocStats from a stats file's text by one ``json.loads`` of the whole
+    text, as the package read it before its streamed reader."""
+    obj = json.loads(text)
+    stats = CoocStats(
+        **{name: np.array(obj[name], dtype=np.float64) for name in STATS_TABLES},
+        smoothing=SmoothingConfig(**obj["smoothing"]),
+        corpus_fingerprint=obj["corpus_fingerprint"],
+    )
+    assert (obj["c_verb"], obj["c_noun"]) == (stats.c_verb, stats.c_noun)
+    return stats
+
+
+def score_table(stats, axis, mode):
+    """The (C, C) indicator table of one axis as one array expression, as the
+    package computed it before building it in place."""
+    lo, hi = stats.smoothing.prob_clamp_min, stats.smoothing.prob_clamp_max
+    marginal = stats.marginal(axis)
+    transition = stats.transition(axis)
+    clamped = np.clip(marginal, lo, hi)
+    if mode is IndicatorMode.AS_WRITTEN:
+        num = np.clip(transition, lo, hi)
+    else:
+        num = np.clip(transition * marginal[:, None], lo, hi)
+    log_num = np.log(num)
+    return (log_num - np.log(clamped[:, None] * clamped)) / -log_num

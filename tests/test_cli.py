@@ -323,6 +323,78 @@ def test_malformed_stats_is_one_error_line(workspace, capsys, corrupt, message):
     assert not (workspace / "x.jsonl").exists()
 
 
+def _refine_with_stats(ws, stats_path):
+    return main([
+        "refine", "--quiet", "--stats", str(stats_path),
+        "--logits", str(ws / "logits.jsonl"),
+        "--z", "6", "--k", "4", "--out", str(ws / "x.jsonl"),
+    ])
+
+
+def _indent2(text):
+    return json.dumps(json.loads(text), indent=2)
+
+
+def _semicolon_3mb_in(text):
+    """The text with the first comma 3 MB in, inside noun_transition, made a semicolon."""
+    at = text.index(",", 3_000_000)
+    assert text.index('"noun_transition"') < at < text.index('"verb_given_noun"')
+    return text[:at] + ";" + text[at + 1:]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _semicolon_3mb_in,
+    lambda text: _semicolon_3mb_in(_indent2(text)),
+    lambda text: text[:len(text) // 2],
+    lambda text: text[:-1],
+    lambda text: text + ' {"c_verb": 115}',
+    lambda text: _indent2(text) + "\n\n x",
+], ids=["semicolon", "semicolon_indent2", "truncated_in_table", "truncated_before_brace",
+        "trailing_object", "trailing_data_indent2"])
+def test_malformed_lta_stats_gives_the_json_loads_error(workspace, capsys, lta_stats_text, corrupt):
+    """A 478-noun stats file read a chunk at a time fails with the error, and
+    the file-absolute line, column and char, of json.loads of the whole file."""
+    text = corrupt(lta_stats_text)
+    with pytest.raises(json.JSONDecodeError) as whole:
+        json.loads(text)
+    bad = workspace / "bad_stats.json"
+    bad.write_text(text)
+    assert _refine_with_stats(workspace, bad) == 1
+    assert capsys.readouterr().err == f"error: {bad}: bad stats file: {whole.value}\n"
+    assert not (workspace / "x.jsonl").exists()
+
+
+def test_non_utf8_byte_deep_in_lta_stats_is_one_error_line(workspace, capsys, lta_stats_text):
+    raw = lta_stats_text.encode()
+    at = raw.index(b'"corpus_fingerprint": "') + 30
+    bad = workspace / "latin1_stats.json"
+    bad.write_bytes(raw[:at] + b"\xe9" + raw[at + 1:])
+    assert _refine_with_stats(workspace, bad) == 1
+    _one_error_line(capsys, f"{bad}: bad stats file: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("split", ["--train", "--val"])
+@pytest.mark.parametrize("actions, message", [
+    ([[4, 0]], "verb_id 4 out of range [0, 4)"),
+    ([[0, 0], [1, 9]], "noun_id 9 out of range [0, 4)"),
+    ([], "empty sequence"),
+], ids=["verb_out_of_range", "noun_out_of_range", "empty"])
+def test_stats_corpus_violation_is_one_error_line(workspace, capsys, split, actions, message):
+    bad = workspace / "bad.jsonl"
+    bad.write_text(json.dumps({"episode_id": "bad-ep", "actions": actions}) + "\n")
+    splits = ["--train", str(bad)] if split == "--train" else [
+        "--train", str(workspace / "corpus.jsonl"), "--val", str(bad)]
+    code = main([
+        "stats", "--quiet", *splits,
+        "--verb-vocab", str(workspace / "vocab.verb.json"),
+        "--noun-vocab", str(workspace / "vocab.noun.json"),
+        "--out", str(workspace / "unused.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: episode 'bad-ep': {message}\n"
+    assert not (workspace / "unused.json").exists()
+
+
 def test_logits_wider_than_stats_rejected_at_load(workspace, capsys):
     assert _build_stats(workspace) == 0
     wide = workspace / "wide_logits.jsonl"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqpost.cooc
 from seqpost.cooc import (
     CoocStats,
     IndicatorMode,
@@ -21,7 +22,7 @@ from seqpost.cooc import (
 from seqpost.rng import CounterRng
 from seqpost.vocab import Action, ActionSequence, Vocabulary
 
-from oracles import count_stats, stats_json_dumps
+from oracles import count_stats, score_table, stats_from_whole_text, stats_json_dumps
 
 VV2 = Vocabulary("verb", ("v0", "v1"))
 NV1 = Vocabulary("noun", ("n0",))
@@ -454,3 +455,113 @@ def test_replaced_stats_start_with_empty_cache():
     assert new_row is not old_row
     assert new_row.tobytes() == _fresh_score_row(changed, 1, "verb", IndicatorMode.AS_WRITTEN).tobytes()
     assert new_row.tobytes() != old_row.tobytes()
+
+
+def _assert_same_stats(got, expected):
+    for name in TABLES:
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert got.smoothing == expected.smoothing
+    assert got.corpus_fingerprint == expected.corpus_fingerprint
+
+
+def _indent2(text):
+    return json.dumps(json.loads(text), indent=2)
+
+
+def _reordered(text):
+    return json.dumps(dict(reversed(json.loads(text).items())))
+
+
+def _duplicate_keys(text):
+    """The text with a first, different copy of three members, which the
+    later ones override."""
+    return text.replace("{", '{"noun_transition": [[0.5, 0.5]], "smoothing": 1, '
+                             '"c_noun": [[-1]], ', 1)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("variant", [str, _indent2], ids=["writer", "indent2"])
+def test_streamed_read_equals_whole_text_parse_at_lta_size(
+        lta_stats_text, monkeypatch, variant, chunk):
+    if chunk:
+        monkeypatch.setattr(seqpost.cooc, "_CHUNK", chunk)
+    text = variant(lta_stats_text)
+    expected = stats_from_whole_text(text)
+    assert expected.noun_transition.shape == (478, 478)
+    _assert_same_stats(CoocStats.from_json(io.StringIO(text)), expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("variant", [str, _indent2, _reordered, _duplicate_keys],
+                         ids=["writer", "indent2", "reordered", "duplicate_keys"])
+def test_streamed_read_equals_whole_text_parse_across_chunk_boundaries(monkeypatch, variant, chunk):
+    """Chunks of 1 and 7 characters end inside numbers, keys and rows."""
+    if chunk:
+        monkeypatch.setattr(seqpost.cooc, "_CHUNK", chunk)
+    stats = _stats_for(_random_corpus(7))
+    text = variant(stats.to_json())
+    expected = stats_from_whole_text(text)
+    _assert_same_stats(expected, stats)
+    _assert_same_stats(CoocStats.from_json(text), expected)
+    _assert_same_stats(CoocStats.from_json(io.StringIO(text)), expected)
+
+
+class _Pipe(io.StringIO):
+    """A text stream that cannot seek, as a pipe is."""
+
+    def seekable(self):
+        return False
+
+
+def test_stream_that_cannot_seek_reads_and_fails_plainly():
+    stats = _stats_for(_random_corpus(8))
+    text = stats.to_json()
+    _assert_same_stats(CoocStats.from_json(_Pipe(text)), stats)
+    with pytest.raises(ValueError, match="^not a well-formed JSON object; read it from a file"):
+        CoocStats.from_json(_Pipe(text[:-1]))
+
+
+@pytest.mark.parametrize("mode", IndicatorMode)
+def test_score_table_equals_whole_expression_bytewise(mode):
+    stats = _lta_sized_stats()
+    lo, hi = stats.smoothing.prob_clamp_min, stats.smoothing.prob_clamp_max
+    for axis, classes in (("verb", stats.c_verb), ("noun", stats.c_noun)):
+        expected = score_table(stats, axis, mode)
+        # entries clamped at both ends take part
+        for probs in (stats.marginal(axis), stats.transition(axis)):
+            assert (np.clip(probs, lo, hi) == lo).any() and (np.clip(probs, lo, hi) == hi).any()
+        table = np.stack([transition_score_row(stats, prev, axis, mode) for prev in range(classes)])
+        assert table.tobytes() == expected.tobytes()
+
+
+def test_stats_load_peak_is_the_tables_not_the_text(tmp_path, lta_stats_text):
+    """Loading a 478-noun stats file from a handle holds neither its text
+    nor more than two tables beyond the arrays it returns."""
+    path = tmp_path / "stats.json"
+    path.write_text(lta_stats_text)
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            before = tracemalloc.get_traced_memory()[0]
+            stats = CoocStats.from_json(handle)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(stats, name).nbytes for name in TABLES)
+    assert peak <= held + 2 * stats.noun_transition.nbytes + 2**20
+
+
+@pytest.mark.parametrize("mode", IndicatorMode)
+def test_first_score_row_call_peaks_at_two_tables(lta_stats_text, mode):
+    """The first call on an axis builds its table in place: one table-sized
+    temporary beside the table."""
+    stats = CoocStats.from_json(lta_stats_text)
+    for axis in ("noun", "verb"):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            transition_score_row(stats, 0, axis, mode)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * stats.transition(axis).nbytes + 2**19, axis
