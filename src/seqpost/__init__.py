@@ -8,8 +8,6 @@ from .cooc import (
     IndicatorMode,
     SmoothingConfig,
     build_stats,
-    transition_score,
-    verb_given_noun,
 )
 from .decoder import (
     MultiHeadDecoder,
@@ -78,7 +76,5 @@ __all__ = [
     "smooth_labels",
     "softmax_rows",
     "train",
-    "transition_score",
     "validate_sequence",
-    "verb_given_noun",
 ]

@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
 import sys
 from collections.abc import Iterator
 
@@ -123,8 +122,8 @@ def _load_file(path: str, parse, kind: str):
 
 def cmd_stats(args) -> list[str]:
     verb_vocab, noun_vocab = (
-        _load_file(path, lambda handle: Vocabulary.from_json(handle.read()), "vocabulary")
-        for path in (args.verb_vocab, args.noun_vocab)
+        _load_file(path, lambda handle: Vocabulary.from_json(handle.read(), kind), "vocabulary")
+        for path, kind in ((args.verb_vocab, "verb"), (args.noun_vocab, "noun"))
     )
     corpus = load_corpus(args.train)
     if args.val:
@@ -187,7 +186,7 @@ def _sweep(args) -> None:
         raise CliError(f"logits files differ in length: {len(a_list)} vs {len(b_list)}")
     truths = load_corpus(args.truth)
     grid = [round(0.1 * i, 1) for i in range(0, 21)]
-    raw_cfgs = [PredictionConfig(num_steps=a.num_steps, num_patterns=1) for a in a_list]
+    raw_cfg = PredictionConfig(num_patterns=1)
     best = None
     for alpha in grid:
         for beta in grid:
@@ -195,8 +194,8 @@ def _sweep(args) -> None:
                 continue
             weights = EnsembleWeights(alpha=alpha, beta=beta)
             preds = [
-                generate_patterns(softmax_rows(combine_logits(a, b, weights)), None, cfg)
-                for a, b, cfg in zip(a_list, b_list, raw_cfgs)
+                generate_patterns(softmax_rows(combine_logits(a, b, weights)), None, raw_cfg)
+                for a, b in zip(a_list, b_list)
             ]
             report = evaluate_corpus(preds, truths)
             key = (report.ed_action, report.ed_verb, report.ed_noun)
@@ -226,7 +225,6 @@ def cmd_refine(args) -> list[str]:
         tensors = iter_logits(args.logits)
 
     pred_cfg = PredictionConfig(
-        num_steps=args.z,
         num_patterns=args.k,
         rng_seed=args.seed,
         mode=IndicatorMode(args.mode),
@@ -268,13 +266,11 @@ def cmd_train(args) -> list[str]:
     dataset = load_train_dataset(args.data)
     if not dataset:
         raise CliError("empty training dataset")
-    feature_dim = dataset[0][0].shape[0]
+    feature_dim, num_steps = dataset[0][0].shape[0], len(dataset[0][1].actions)
     actions = [a for _, seq in dataset for a in seq.actions]
     c_verb = _class_count(args.c_verb, "--c-verb", [a.verb_id for a in actions])
     c_noun = _class_count(args.c_noun, "--c-noun", [a.noun_id for a in actions])
-    if args.z < 1:
-        raise CliError(f"--z must be >= 1, got {args.z}")
-    dec = MultiHeadDecoder.init(feature_dim, args.z, c_verb, c_noun, seed=args.seed)
+    dec = MultiHeadDecoder.init(feature_dim, num_steps, c_verb, c_noun, seed=args.seed)
     cfg = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -316,8 +312,6 @@ _MODES = [m.value for m in IndicatorMode]
 # the experiment's settings a synth config may carry besides the SynthConfig
 # fields: key -> (what a value must be, its check)
 _SYNTH_SETTINGS = {
-    "logit_scale": ("positive and finite", lambda v: isinstance(v, (int, float))
-                    and not isinstance(v, bool) and 0 < v < math.inf),
     "num_patterns": ("an integer >= 1", lambda v: isinstance(v, int)
                      and not isinstance(v, bool) and v >= 1),
     "mode": (f"one of {', '.join(_MODES)}", lambda v: v in _MODES),
@@ -346,13 +340,13 @@ def _load_synth_config(path: str, seed_override) -> tuple[SynthConfig, dict]:
 
 def cmd_synth_gen(args) -> tuple[list[str], dict, int]:
     cfg, raw = _load_synth_config(args.config, args.seed)
-    corpus, _ = gen_markov_corpus(cfg)
+    corpus = gen_markov_corpus(cfg)
     dump_corpus(corpus, args.out_corpus)
     outputs = [args.out_corpus]
     if args.out_logits:
         tensors = (
             corrupt_to_logits_sized(
-                seq, cfg.logit_noise_sigma, raw.get("logit_scale", 1.0),
+                seq, cfg.logit_noise_sigma, cfg.logit_scale,
                 cfg.rng_seed, cfg.c_verb, cfg.c_noun, stream=cfg.num_sequences + i,
             )
             for i, seq in enumerate(corpus)
@@ -373,12 +367,11 @@ def cmd_synth_gen(args) -> tuple[list[str], dict, int]:
 def cmd_synth_experiment(args) -> tuple[list[str], dict, int]:
     cfg, raw = _load_synth_config(args.config, args.seed)
     pred_cfg = PredictionConfig(
-        num_steps=cfg.seq_len,
         num_patterns=raw.get("num_patterns", 5),
         rng_seed=cfg.rng_seed,
         mode=IndicatorMode(raw.get("mode", "as_written")),
     )
-    report = run_refinement_experiment(cfg, pred_cfg, logit_scale=raw.get("logit_scale", 1.0))
+    report = run_refinement_experiment(cfg, pred_cfg)
     if not args.per_example:
         report.pop("per_example")
     with open(args.out, "w") as handle:
@@ -443,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_refine)
 
     p = sub.add_parser("train", help="train the toy multi-head decoder")
-    p.add_argument("--data", type=InPath, required=True, help="JSONL of {features, actions}")
-    p.add_argument("--z", type=int, required=True)
+    p.add_argument("--data", type=InPath, required=True,
+                   help="JSONL of {features, actions}; Z is the first record's action count")
     p.add_argument("--smooth", choices=["on", "off"], default="off")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=0.05)

@@ -370,14 +370,3 @@ def transition_score_row(
         table.flags.writeable = False
         rows = stats._score_rows[(axis, mode)] = list(table)
     return rows[prev]
-
-
-def transition_score(
-    stats: CoocStats, prev: int, next_: int, axis: str, mode: IndicatorMode
-) -> float:
-    return float(transition_score_row(stats, prev, axis, mode)[next_])
-
-
-def verb_given_noun(stats: CoocStats, verb: int, noun: int) -> float:
-    """Stored p(V = verb | N = noun), without clamping."""
-    return float(stats.verb_given_noun[noun, verb])

@@ -129,8 +129,9 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("learning_rate, epochs and batch_size must be positive")
+        if not 0 < self.learning_rate < math.inf or self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("learning_rate must be positive and finite, "
+                             "epochs and batch_size positive")
 
 
 def decoder_forward(dec: MultiHeadDecoder, features: np.ndarray) -> LogitsTensor:
@@ -188,7 +189,8 @@ def train(
     cfg: TrainConfig,
 ) -> tuple[MultiHeadDecoder, list[float]]:
     """Seeded minibatch gradient descent; returns the trained decoder and the
-    mean per-example loss for each epoch."""
+    mean per-example loss for each epoch. A parameter that ends non-finite
+    raises ValueError, so no diverged decoder is returned."""
     if not dataset:
         raise ValueError("empty dataset")
     c_verb, c_noun = dec.verb_weights.shape[2], dec.noun_weights.shape[2]
@@ -218,16 +220,22 @@ def train(
     rng = CounterRng(cfg.rng_seed, stream=0x7E41)
     order = list(range(len(dataset)))
     history: list[float] = []
-    for _ in range(cfg.epochs):
-        rng.shuffle(order)
-        epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [dataset[i] for i in order[start : start + cfg.batch_size]]
-            loss, grads = loss_and_grad(dec, batch, cfg.use_label_smoothing)
-            epoch_loss += loss * len(batch)
-            for key, grad in grads.items():
-                getattr(dec, key)[...] -= cfg.learning_rate * grad
-        history.append(epoch_loss / len(order))
+    with np.errstate(all="ignore"):  # divergence is reported below, not warned of
+        for _ in range(cfg.epochs):
+            rng.shuffle(order)
+            epoch_loss = 0.0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [dataset[i] for i in order[start : start + cfg.batch_size]]
+                loss, grads = loss_and_grad(dec, batch, cfg.use_label_smoothing)
+                epoch_loss += loss * len(batch)
+                for key, grad in grads.items():
+                    getattr(dec, key)[...] -= cfg.learning_rate * grad
+            history.append(epoch_loss / len(order))
+    for key in ("verb_weights", "verb_biases", "noun_weights", "noun_biases"):
+        bad = np.argwhere(~np.isfinite(getattr(dec, key)))
+        if len(bad):
+            raise ValueError(f"training diverged: {key}{bad[0].tolist()} is not finite; "
+                             f"lower the learning rate")
     return dec, history
 
 
@@ -244,6 +252,8 @@ def load_train_dataset(path: str) -> list[tuple[np.ndarray, ActionSequence]]:
                 raise ValueError("features must be a 1-D list of finite numbers")
             features = np.array(raw, dtype=np.float64)
             actions = parse_actions(obj["actions"])
+            if not actions:
+                raise ValueError("actions must not be empty")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: bad training record: {exc}") from exc
         dataset.append((features, ActionSequence(episode_id=f"line{lineno}", actions=actions)))

@@ -34,16 +34,15 @@ TIER_REFINED_ARGMAX = "refined_argmax"
 TIER_REFINED_SAMPLED = "refined_sampled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PredictionConfig:
-    num_steps: int  # steps to predict per pattern
+    """How to decode one example; its step count Z comes from the distributions."""
+
     num_patterns: int  # patterns per example
     rng_seed: int = 0
     mode: IndicatorMode = IndicatorMode.AS_WRITTEN
 
     def __post_init__(self):
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
         if self.num_patterns < 1:
             raise ValueError("num_patterns must be >= 1")
 
@@ -129,7 +128,7 @@ def _sequential_pattern(
     """One refined pattern; rng=None selects greedily, otherwise samples."""
     actions: list[Action] = []
     prev = None
-    for z in range(cfg.num_steps):
+    for z in range(dists.num_steps):
         noun_probs = dists.noun_probs[z]
         verb_probs = dists.verb_probs[z]
         if prev is None:
@@ -156,11 +155,6 @@ def generate_patterns(
     ``stream`` selects an independent PRNG stream (callers pass the example
     index) so per-example work can be scheduled in any order.
     """
-    if dists.num_steps != cfg.num_steps:
-        raise ValueError(
-            f"distributions have {dists.num_steps} steps but config asks for {cfg.num_steps}"
-        )
-
     patterns: list[tuple[Action, ...]] = []
     tiers: list[str] = []
 

@@ -41,6 +41,7 @@ class SynthConfig:
     verb_noun_coupling: float = 0.0
     logit_noise_sigma: float = 1.0
     rng_seed: int = 0
+    logit_scale: float = 1.0  # one-hot height of the truth in the corrupted logits
 
     def __post_init__(self):
         for field in fields(self):
@@ -61,6 +62,8 @@ class SynthConfig:
             raise ValueError("verb_noun_coupling must lie in [0, 1]")
         if self.logit_noise_sigma < 0.0:
             raise ValueError("logit_noise_sigma must be nonnegative")
+        if self.logit_scale <= 0.0:
+            raise ValueError("logit_scale must be positive")
 
 
 def sharpness_for_mass(designated_mass: float, num_classes: int) -> float:
@@ -101,7 +104,7 @@ def planted_tables(cfg: SynthConfig) -> CoocStats:
     )
 
 
-def gen_markov_corpus(cfg: SynthConfig) -> tuple[list[ActionSequence], CoocStats]:
+def gen_markov_corpus(cfg: SynthConfig) -> list[ActionSequence]:
     """Ancestral sampling from the planted tables, one PRNG stream per episode."""
     planted = planted_tables(cfg)
     corpus: list[ActionSequence] = []
@@ -118,7 +121,7 @@ def gen_markov_corpus(cfg: SynthConfig) -> tuple[list[ActionSequence], CoocStats
                 verb = noun % cfg.c_verb
             actions.append(Action(verb, noun))
         corpus.append(ActionSequence(episode_id=f"ep{i:05d}", actions=tuple(actions)))
-    return corpus, planted
+    return corpus
 
 
 def corrupt_to_logits_sized(
@@ -150,22 +153,14 @@ def corrupt_to_logits_sized(
     return LogitsTensor(example_id=truth.episode_id, verb_logits=verb_logits, noun_logits=noun_logits)
 
 
-def run_refinement_experiment(
-    cfg: SynthConfig,
-    pred_cfg: PredictionConfig,
-    logit_scale: float = 1.0,
-) -> dict:
+def run_refinement_experiment(cfg: SynthConfig, pred_cfg: PredictionConfig) -> dict:
     """Raw-argmax vs refined decoding on a corrupted held-out split.
 
     Even-index episodes train the statistics, odd-index episodes are
     evaluated.  Returns mean ED triples for the raw pattern alone and for the
     full K-pattern set, plus the deltas (positive delta = refinement helped).
     """
-    if pred_cfg.num_steps != cfg.seq_len:
-        raise ValueError(
-            f"pred_cfg.num_steps ({pred_cfg.num_steps}) must equal seq_len ({cfg.seq_len})"
-        )
-    corpus, planted = gen_markov_corpus(cfg)
+    corpus = gen_markov_corpus(cfg)
     verb_vocab, noun_vocab = make_vocabularies(cfg)
     train_split = [s for i, s in enumerate(corpus) if i % 2 == 0]
     eval_split = [s for i, s in enumerate(corpus) if i % 2 == 1]
@@ -175,7 +170,7 @@ def run_refinement_experiment(
     raw_preds: list[PredictionSet] = []
     for j, truth in enumerate(eval_split):
         logits = corrupt_to_logits_sized(
-            truth, cfg.logit_noise_sigma, logit_scale, cfg.rng_seed,
+            truth, cfg.logit_noise_sigma, cfg.logit_scale, cfg.rng_seed,
             cfg.c_verb, cfg.c_noun, stream=cfg.num_sequences + j,
         )
         dists = softmax_rows(logits)

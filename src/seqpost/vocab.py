@@ -36,8 +36,11 @@ class Vocabulary:
         return json.dumps({"kind": self.kind, "names": list(self.names)})
 
     @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
+    def from_json(cls, text: str, kind: str) -> "Vocabulary":
+        """The vocabulary in ``text``, which must be of kind ``kind``."""
         obj = json.loads(text)
+        if obj["kind"] != kind:
+            raise ValueError(f"kind is {obj['kind']!r}, expected {kind!r}")
         names = obj["names"]
         if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
             raise ValueError("names must be a list of strings")
@@ -137,7 +140,7 @@ def validate_sequence(
 
 def load_corpus(path: str) -> list[ActionSequence]:
     """Read a JSON Lines corpus file, one ActionSequence per line."""
-    return load_records(path, ActionSequence.from_obj, "sequence")
+    return list(iter_records(path, ActionSequence.from_obj, "sequence"))
 
 
 def dump_corpus(corpus: Iterable[ActionSequence], path: str) -> None:
@@ -172,8 +175,3 @@ def iter_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[T
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
         yield record
-
-
-def load_records(path: str, parse: Callable[[dict], T], kind: str) -> list[T]:
-    """Every record of ``iter_records`` in a list."""
-    return list(iter_records(path, parse, kind))

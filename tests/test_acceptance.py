@@ -16,7 +16,6 @@ from seqpost.cooc import (
     IndicatorMode,
     SmoothingConfig,
     build_stats,
-    transition_score,
     transition_score_row,
 )
 from seqpost.decoder import MultiHeadDecoder, loss_and_grad, smooth_labels
@@ -192,7 +191,7 @@ def test_criterion_5_refinement_distribution_contract(monkeypatch):
     )
     for prev in range(2):
         for nxt in range(2):
-            assert transition_score(independent, prev, nxt, "verb", IndicatorMode.AS_WRITTEN) == 0.0
+            assert transition_score_row(independent, prev, "verb", IndicatorMode.AS_WRITTEN)[nxt] == 0.0
     _report(5, "10^4 draws: refined output valid or exact fallback; scale-invariant; 0 at independence")
 
 
@@ -230,14 +229,14 @@ def test_criterion_6_statistics_correctness():
 
 def test_criterion_7_directional_synthetic_claim():
     start = time.monotonic()
-    pred_cfg = PredictionConfig(num_steps=20, num_patterns=5, rng_seed=77)
+    pred_cfg = PredictionConfig(num_patterns=5, rng_seed=77)
 
     structured = SynthConfig(
         c_verb=6, c_noun=6, num_sequences=200, seq_len=20,
         transition_sharpness=sharpness_for_mass(0.9, 6),
         verb_noun_coupling=0.9, logit_noise_sigma=1.0, rng_seed=77,
     )
-    report = run_refinement_experiment(structured, pred_cfg, logit_scale=1.0)
+    report = run_refinement_experiment(structured, pred_cfg)
     assert report["n_eval"] == 100
     structured_delta = report["delta"]["ed_action"]
     assert report["refined"]["ed_action"] < report["raw"]["ed_action"]
@@ -247,7 +246,7 @@ def test_criterion_7_directional_synthetic_claim():
         transition_sharpness=1.0, verb_noun_coupling=0.0,
         logit_noise_sigma=1.0, rng_seed=77,
     )
-    report = run_refinement_experiment(unstructured, pred_cfg, logit_scale=1.0)
+    report = run_refinement_experiment(unstructured, pred_cfg)
     flat_delta = report["delta"]["ed_action"]
     assert abs(flat_delta) < 0.05
 

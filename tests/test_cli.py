@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,7 +240,7 @@ def test_train_command(workspace, tmp_path):
     code = main([
         "train", "--quiet",
         "--data", str(data),
-        "--z", "3", "--smooth", "on", "--seed", "1",
+        "--smooth", "on", "--seed", "1",
         "--epochs", "30", "--lr", "0.3", "--batch-size", "2",
         "--out", str(tmp_path / "ckpt.json"),
     ])
@@ -257,6 +261,20 @@ def test_synth_experiment_command(workspace):
     assert code == 0
     report = json.loads((workspace / "exp.json").read_text())
     assert set(report) >= {"config", "raw", "refined", "delta", "n_eval"}
+
+
+def test_synth_experiment_report_records_logit_scale(workspace):
+    config = json.loads((workspace / "synth.json").read_text())
+    reports = []
+    for scale in (1.0, 3.0):
+        path = workspace / f"synth_{scale}.json"
+        path.write_text(json.dumps({**config, "logit_scale": scale}))
+        assert main(["synth", "experiment", "--quiet", "--config", str(path),
+                     "--out", str(workspace / "exp.json")]) == 0
+        reports.append(json.loads((workspace / "exp.json").read_text()))
+    assert [r["config"]["logit_scale"] for r in reports] == [1.0, 3.0]
+    # the setting changes the numbers, so a report without it could not be reproduced
+    assert reports[0]["raw"] != reports[1]["raw"]
 
 
 def test_commands_do_not_mutate_inputs(workspace):
@@ -290,6 +308,33 @@ def test_vocabulary_without_kind_is_one_error_line(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: bad vocabulary file")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb_file, noun_file, bad, found, expected", [
+    ("noun", "noun", "noun", "noun", "verb"),
+    ("noun", "verb", "noun", "noun", "verb"),
+    ("verb", "verb", "verb", "verb", "noun"),
+], ids=["noun_as_verb", "both_swapped", "verb_as_noun"])
+def test_stats_vocabulary_of_the_wrong_kind_is_one_error_line(
+    tmp_path, capsys, verb_file, noun_file, bad, found, expected
+):
+    # 6 verbs and 8 nouns, so a swapped vocabulary also has the wrong size
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"c_verb": 6, "c_noun": 8, "num_sequences": 10, "seq_len": 4}))
+    assert main(["synth", "gen", "--quiet", "--config", str(config),
+                 "--out-corpus", str(tmp_path / "corpus.jsonl"),
+                 "--out-vocab-prefix", str(tmp_path / "vocab")]) == 0
+    assert main([
+        "stats", "--quiet", "--train", str(tmp_path / "corpus.jsonl"),
+        "--verb-vocab", str(tmp_path / f"vocab.{verb_file}.json"),
+        "--noun-vocab", str(tmp_path / f"vocab.{noun_file}.json"),
+        "--out", str(tmp_path / "stats.json"),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / f'vocab.{bad}.json'}: bad vocabulary file: "
+        f"kind is '{found}', expected '{expected}'\n"
+    )
+    assert not (tmp_path / "stats.json").exists()
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -531,7 +576,7 @@ def _train_cmd(ws, rows, extra=()):
     data = ws / "train.jsonl"
     data.write_text("".join(json.dumps(row) + "\n" for row in rows))
     return main([
-        "train", "--quiet", "--data", str(data), "--z", "2", "--epochs", "2",
+        "train", "--quiet", "--data", str(data), "--epochs", "2",
         "--out", str(ws / "ckpt.json"), *extra,
     ])
 
@@ -583,11 +628,16 @@ def test_train_class_count_below_one_is_one_error_line(workspace, capsys, action
     assert not (workspace / "ckpt.json").exists()
 
 
-@pytest.mark.parametrize("z", ["-1", "0"])
-def test_train_z_below_one_is_one_error_line(workspace, capsys, z):
-    rows = [{"features": [1.0, 0.0], "actions": [[0, 0], [1, 0]]}]
-    assert _train_cmd(workspace, rows, ["--z", z]) == 1
-    assert capsys.readouterr().err == f"error: --z must be >= 1, got {z}\n"
+@pytest.mark.parametrize("lineno", [1, 2], ids=["line1", "line2"])
+def test_train_empty_actions_is_one_error_line(workspace, capsys, lineno):
+    # the first record's action count is the decoder's step count Z
+    rows = [{"features": [1.0, 0.0], "actions": [[0, 0], [1, 0]]}] * 2
+    rows[lineno - 1] = {"features": [1.0, 0.0], "actions": []}
+    assert _train_cmd(workspace, rows) == 1
+    assert capsys.readouterr().err == (
+        f"error: {workspace / 'train.jsonl'}:{lineno}: bad training record: "
+        "actions must not be empty\n"
+    )
     assert not (workspace / "ckpt.json").exists()
 
 
@@ -673,9 +723,9 @@ MANIFEST_CASES = {
         {"logits.jsonl"}, ["m.jsonl"], 0, {"alpha", "beta", "z", "k", "seed", "mode"},
     ),
     "train": (
-        "train --data train.jsonl --z 2 --epochs 2 --seed 1 --c-verb 3 --c-noun 2 --out m.json",
+        "train --data train.jsonl --epochs 2 --seed 1 --c-verb 3 --c-noun 2 --out m.json",
         {"train.jsonl"}, ["m.json"], 1,
-        {"z", "smooth", "seed", "lr", "epochs", "batch_size", "c_verb", "c_noun"},
+        {"smooth", "seed", "lr", "epochs", "batch_size", "c_verb", "c_noun"},
     ),
     "eval": (
         "eval --preds preds.jsonl --truth corpus.jsonl --out m.json",
@@ -750,7 +800,7 @@ def test_train_checkpoint_bytes_and_loss_line_pinned(tmp_path, capsys, smooth, d
     data, ckpt = tmp_path / "train.jsonl", tmp_path / "ckpt.json"
     data.write_text("".join(json.dumps(row) + "\n" for row in pinned_train_rows()))
     assert main([
-        "train", "--data", str(data), "--z", "3", "--smooth", smooth, "--seed", "2",
+        "train", "--data", str(data), "--smooth", smooth, "--seed", "2",
         "--lr", "0.4", "--epochs", "6", "--batch-size", "3", "--c-verb", "4", "--c-noun", "9",
         "--out", str(ckpt),
     ]) == 0
@@ -762,6 +812,35 @@ def test_train_diverging_run_is_one_error_line(workspace, capsys):
     rows = [{"features": [1e308, 1e308], "actions": [[0, 1], [1, 0]]}] * 2
     assert _train_cmd(workspace, rows, ["--lr", "10", "--epochs", "3"]) == 1
     assert capsys.readouterr().err == "error: logits must be finite\n"
+    assert not (workspace / "ckpt.json").exists()
+
+
+@pytest.mark.parametrize("features, extra, message", [
+    ([1.0], ["--lr", "inf"], "learning_rate must be positive and finite, epochs and batch_size positive"),
+    ([1e300], ["--lr", "1e10"], "training diverged: verb_weights[0, 0, 0] is not finite; "
+                                "lower the learning rate"),
+], ids=["infinite_lr", "overflowing_update"])
+def test_train_non_finite_weights_are_one_error_line_and_no_file(tmp_path, features, extra, message):
+    # a subprocess, so that a numpy RuntimeWarning on stderr would be seen
+    data, ckpt = tmp_path / "train.jsonl", tmp_path / "ckpt.json"
+    data.write_text("".join(json.dumps({"features": features, "actions": [[i, i]]}) + "\n"
+                            for i in range(2)))
+    src = str(Path(seqpost.cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "seqpost.cli", "train", "--quiet", "--data", str(data),
+         "--epochs", "1", "--batch-size", "8", "--out", str(ckpt), *extra],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
+    assert not ckpt.exists()
+
+
+def test_train_step_count_differing_from_the_first_record_names_the_episode(workspace, capsys):
+    rows = [{"features": [1.0, 0.0], "actions": [[0, 1], [1, 0]]},
+            {"features": [0.0, 1.0], "actions": [[1, 1]]}]
+    assert _train_cmd(workspace, rows) == 1
+    assert capsys.readouterr().err == "error: episode 'line2': sequence length 1 != decoder steps 2\n"
     assert not (workspace / "ckpt.json").exists()
 
 

@@ -15,9 +15,7 @@ from seqpost.cooc import (
     IndicatorMode,
     SmoothingConfig,
     build_stats,
-    transition_score,
     transition_score_row,
-    verb_given_noun,
 )
 from seqpost.rng import CounterRng
 from seqpost.vocab import Action, ActionSequence, Vocabulary
@@ -63,12 +61,12 @@ def test_deterministic_co_occurrence_g():
     # noun 0 only ever pairs with verb 1
     corpus = [ActionSequence("e", (Action(1, 0), Action(1, 0)))]
     stats = build_stats(corpus, VV2, NV1, SmoothingConfig(add_k=0.0))
-    assert verb_given_noun(stats, 1, 0) == 1.0
+    assert stats.verb_given_noun[0, 1] == 1.0
 
 
 def test_g_from_hand_counts():
     stats = build_stats(ONE_SEQ, VV2, NV1, SmoothingConfig(add_k=0.0))
-    assert verb_given_noun(stats, 0, 0) == 0.5
+    assert stats.verb_given_noun[0, 0] == 0.5
 
 
 def _random_corpus(seed, n_seqs=50, length=8, c_verb=3, c_noun=4):
@@ -138,7 +136,7 @@ def test_transition_score_against_raw_count_oracle():
             m_prev = clamp((verb_uni[prev] + cfg.add_k) / total_uni)
             m_next = clamp((verb_uni[nxt] + cfg.add_k) / total_uni)
             expected = math.log(cond / (m_prev * m_next)) / -math.log(cond)
-            got = transition_score(stats, prev, nxt, "verb", IndicatorMode.AS_WRITTEN)
+            got = transition_score_row(stats, prev, "verb", IndicatorMode.AS_WRITTEN)[nxt]
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -163,13 +161,13 @@ def test_as_written_zero_at_constructed_independence():
     stats = _constructed_stats(marginal, transition)
     for prev in range(2):
         for nxt in range(2):
-            assert transition_score(stats, prev, nxt, "verb", IndicatorMode.AS_WRITTEN) == 0.0
+            assert transition_score_row(stats, prev, "verb", IndicatorMode.AS_WRITTEN)[nxt] == 0.0
 
 
 def test_as_written_analytic_value():
     # p(prev) = p(next) = 0.5, p(next|prev) = 0.5 -> ln(2)/ln(2) = 1
     stats = _constructed_stats([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
-    assert transition_score(stats, 0, 1, "verb", IndicatorMode.AS_WRITTEN) == pytest.approx(1.0)
+    assert transition_score_row(stats, 0, "verb", IndicatorMode.AS_WRITTEN)[1] == pytest.approx(1.0)
 
 
 def test_scores_finite_all_pairs_all_modes():
@@ -178,7 +176,7 @@ def test_scores_finite_all_pairs_all_modes():
     for mode in IndicatorMode:
         for prev in range(2):
             for nxt in range(2):
-                assert math.isfinite(transition_score(stats, prev, nxt, "verb", mode))
+                assert math.isfinite(transition_score_row(stats, prev, "verb", mode)[nxt])
 
 
 def test_standard_npmi_range_on_random_stats():
@@ -191,7 +189,7 @@ def test_standard_npmi_range_on_random_stats():
         )
         for prev in range(3):
             for nxt in range(3):
-                score = transition_score(stats, prev, nxt, "verb", IndicatorMode.STANDARD_NPMI)
+                score = transition_score_row(stats, prev, "verb", IndicatorMode.STANDARD_NPMI)[nxt]
                 assert -1.0 - 1e-9 <= score <= 1.0 + 1e-9
 
 

@@ -264,6 +264,12 @@ def test_wrong_sequence_length_errors():
         train(dec, dataset, TrainConfig())
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, math.inf, math.nan])
+def test_learning_rate_must_be_positive_and_finite(lr):
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        TrainConfig(learning_rate=lr)
+
+
 def test_checkpoint_roundtrip():
     dec = MultiHeadDecoder.init(4, 3, 2, 5, seed=14)
     back = MultiHeadDecoder.from_json(dec.to_json())

@@ -155,7 +155,7 @@ def _tied_dists():
     "dists", [_synthetic_dists(1), _tied_dists()], ids=["synthetic", "ties"]
 )
 def test_k1_truncates_to_raw_argmax(dists):
-    preds = generate_patterns(dists, _corpus_stats(), PredictionConfig(6, 1))
+    preds = generate_patterns(dists, _corpus_stats(), PredictionConfig(num_patterns=1))
     assert preds.tiers == (TIER_RAW_ARGMAX,)
     assert len(preds.patterns) == 1
     for z, action in enumerate(preds.patterns[0]):
@@ -164,7 +164,8 @@ def test_k1_truncates_to_raw_argmax(dists):
 
 
 def test_tier_layout():
-    preds = generate_patterns(_synthetic_dists(2), _corpus_stats(), PredictionConfig(6, 5))
+    preds = generate_patterns(_synthetic_dists(2), _corpus_stats(),
+                              PredictionConfig(num_patterns=5))
     assert preds.tiers == (
         TIER_RAW_ARGMAX,
         TIER_REFINED_ARGMAX,
@@ -177,12 +178,12 @@ def test_tier_layout():
 
 def test_uniform_stats_make_refined_argmax_equal_raw():
     dists = _synthetic_dists(3, c_verb=3, c_noun=3)
-    preds = generate_patterns(dists, _uniform_stats(3), PredictionConfig(6, 2))
+    preds = generate_patterns(dists, _uniform_stats(3), PredictionConfig(num_patterns=2))
     assert preds.patterns[0] == preds.patterns[1]
 
 
 def test_same_seed_bit_reproducible():
-    cfg = PredictionConfig(6, 5, rng_seed=1234)
+    cfg = PredictionConfig(num_patterns=5, rng_seed=1234)
     stats = _corpus_stats()
     a = generate_patterns(_synthetic_dists(4), stats, cfg, stream=7)
     b = generate_patterns(_synthetic_dists(4), stats, cfg, stream=7)
@@ -193,8 +194,9 @@ def test_same_seed_bit_reproducible():
 
 def test_pattern_zero_never_consults_stats():
     dists = _synthetic_dists(5)
-    good = generate_patterns(dists, _corpus_stats(0), PredictionConfig(6, 5, rng_seed=1))
-    corrupted = generate_patterns(dists, _corpus_stats(31), PredictionConfig(6, 5, rng_seed=1))
+    cfg = PredictionConfig(num_patterns=5, rng_seed=1)
+    good = generate_patterns(dists, _corpus_stats(0), cfg)
+    corrupted = generate_patterns(dists, _corpus_stats(31), cfg)
     assert good.patterns[0] == corrupted.patterns[0]
 
 
@@ -203,21 +205,30 @@ def test_patterns_validate_against_vocabularies():
     vv = Vocabulary("verb", tuple(f"v{i}" for i in range(c_verb)))
     nv = Vocabulary("noun", tuple(f"n{i}" for i in range(c_noun)))
     preds = generate_patterns(
-        _synthetic_dists(6), _corpus_stats(), PredictionConfig(6, 5, rng_seed=2)
+        _synthetic_dists(6), _corpus_stats(), PredictionConfig(num_patterns=5, rng_seed=2)
     )
     for k, pattern in enumerate(preds.patterns):
         seq = ActionSequence(f"p{k}", pattern)
         assert validate_sequence(seq, vv, nv) == []
 
 
-def test_z_mismatch_errors():
-    with pytest.raises(ValueError, match="steps"):
-        generate_patterns(_synthetic_dists(7, z=5), _corpus_stats(), PredictionConfig(6, 2))
+@pytest.mark.parametrize("z", [1, 5, 9])
+def test_patterns_take_their_length_from_the_distributions(z):
+    preds = generate_patterns(
+        _synthetic_dists(7, z=z), _corpus_stats(), PredictionConfig(num_patterns=4, rng_seed=3)
+    )
+    assert [len(p) for p in preds.patterns] == [z] * 4
+
+
+def test_prediction_config_is_keyword_only():
+    # a positional call from when the first field was the step count
+    with pytest.raises(TypeError):
+        PredictionConfig(6, 5)
 
 
 def test_prediction_set_json_roundtrip():
     preds = generate_patterns(
-        _synthetic_dists(9), _corpus_stats(), PredictionConfig(6, 3, rng_seed=5)
+        _synthetic_dists(9), _corpus_stats(), PredictionConfig(num_patterns=3, rng_seed=5)
     )
     assert PredictionSet.from_obj(__import__("json").loads(preds.to_json())) == preds
 
@@ -234,14 +245,14 @@ def test_refined_beats_raw_on_structured_episodes():
         transition_sharpness=99.0, verb_noun_coupling=0.9,
         logit_noise_sigma=1.0, rng_seed=17,
     )
-    corpus, _ = gen_markov_corpus(cfg)
+    corpus = gen_markov_corpus(cfg)
     vv, nv = make_vocabularies(cfg)
     stats = build_stats(corpus[:100], vv, nv, SmoothingConfig())
     raw_total = refined_total = 0
     for j, truth in enumerate(corpus[100:]):
         logits = corrupt_to_logits_sized(truth, 1.0, 1.0, 5, 3, 3, stream=j)
         dists = softmax_rows(logits)
-        preds = generate_patterns(dists, stats, PredictionConfig(8, 2), stream=j)
+        preds = generate_patterns(dists, stats, PredictionConfig(num_patterns=2), stream=j)
         tokens = [(a.verb_id, a.noun_id) for a in truth.actions]
         raw_total += edit_distance([(a.verb_id, a.noun_id) for a in preds.patterns[0]], tokens)
         refined_total += edit_distance([(a.verb_id, a.noun_id) for a in preds.patterns[1]], tokens)

@@ -31,14 +31,14 @@ def test_sharpness_for_mass():
 
 def test_same_seed_identical_corpora():
     cfg = SynthConfig(num_sequences=20, seq_len=5, rng_seed=42)
-    a, _ = gen_markov_corpus(cfg)
-    b, _ = gen_markov_corpus(cfg)
+    a = gen_markov_corpus(cfg)
+    b = gen_markov_corpus(cfg)
     assert a == b
 
 
 def test_corpora_validate():
     cfg = SynthConfig(c_verb=3, c_noun=5, num_sequences=30, seq_len=6, rng_seed=1)
-    corpus, _ = gen_markov_corpus(cfg)
+    corpus = gen_markov_corpus(cfg)
     vv, nv = make_vocabularies(cfg)
     for seq in corpus:
         assert validate_sequence(seq, vv, nv) == []
@@ -49,7 +49,7 @@ def test_sharp_transitions_dominate_bigrams():
         c_verb=4, c_noun=4, num_sequences=1000, seq_len=20,
         transition_sharpness=sharpness_for_mass(0.99, 4), rng_seed=2,
     )
-    corpus, _ = gen_markov_corpus(cfg)
+    corpus = gen_markov_corpus(cfg)
     _, _, _, noun_bi, _ = count_stats(corpus, 4, 4)
     designated = sum(noun_bi[i][(i + 1) % 4] for i in range(4))
     total = sum(sum(row) for row in noun_bi)
@@ -62,7 +62,7 @@ def test_empirical_transitions_converge_to_planted():
         transition_sharpness=sharpness_for_mass(0.6, 5),
         verb_noun_coupling=0.0, rng_seed=3,
     )
-    corpus, planted = gen_markov_corpus(cfg)
+    corpus, planted = gen_markov_corpus(cfg), planted_tables(cfg)
     _, _, verb_bi, noun_bi, _ = count_stats(corpus, 4, 5)
     for counts, table in ((verb_bi, planted.verb_transition), (noun_bi, planted.noun_transition)):
         empirical = np.array(counts, dtype=float)
@@ -77,7 +77,7 @@ def test_empirical_verb_given_noun_converges_to_planted():
         c_verb=4, c_noun=5, num_sequences=2000, seq_len=20,
         transition_sharpness=1.0, verb_noun_coupling=0.9, rng_seed=4,
     )
-    corpus, planted = gen_markov_corpus(cfg)
+    corpus, planted = gen_markov_corpus(cfg), planted_tables(cfg)
     _, _, _, _, vn = count_stats(corpus, 4, 5)
     empirical = np.array(vn, dtype=float)
     empirical /= empirical.sum(axis=1, keepdims=True)
@@ -86,7 +86,7 @@ def test_empirical_verb_given_noun_converges_to_planted():
 
 def test_corrupt_noiseless_argmax_is_truth():
     cfg = SynthConfig(c_verb=3, c_noun=4, num_sequences=5, seq_len=6, rng_seed=5)
-    corpus, _ = gen_markov_corpus(cfg)
+    corpus = gen_markov_corpus(cfg)
     for seq in corpus:
         logits = corrupt_to_logits_sized(seq, 0.0, 1.0, 9, 3, 4)
         for z, action in enumerate(seq.actions):
@@ -95,7 +95,7 @@ def test_corrupt_noiseless_argmax_is_truth():
 
 
 def test_corrupt_deterministic():
-    seq = ActionSequence("e", gen_markov_corpus(SynthConfig(num_sequences=1, seq_len=5))[0][0].actions)
+    seq = ActionSequence("e", gen_markov_corpus(SynthConfig(num_sequences=1, seq_len=5))[0].actions)
     a = corrupt_to_logits_sized(seq, 1.0, 1.0, 7, 6, 8, stream=3)
     b = corrupt_to_logits_sized(seq, 1.0, 1.0, 7, 6, 8, stream=3)
     assert np.array_equal(a.verb_logits, b.verb_logits)
@@ -105,7 +105,7 @@ def test_corrupt_deterministic():
 def test_corrupt_huge_noise_accuracy_near_chance():
     c = 5
     cfg = SynthConfig(c_verb=c, c_noun=c, num_sequences=500, seq_len=20, rng_seed=6)
-    corpus, _ = gen_markov_corpus(cfg)
+    corpus = gen_markov_corpus(cfg)
     hits = total = 0
     for i, seq in enumerate(corpus):
         logits = corrupt_to_logits_sized(seq, 100.0, 1.0, 11, c, c, stream=i)
@@ -123,21 +123,15 @@ def test_experiment_noiseless_is_zero_everywhere():
         transition_sharpness=5.0, verb_noun_coupling=0.5,
         logit_noise_sigma=0.0, rng_seed=7,
     )
-    report = run_refinement_experiment(cfg, PredictionConfig(8, 5, rng_seed=7))
+    report = run_refinement_experiment(cfg, PredictionConfig(num_patterns=5, rng_seed=7))
     assert report["raw"]["ed_action"] == 0.0
     assert report["refined"]["ed_action"] == 0.0
 
 
 def test_experiment_reproducible():
     cfg = SynthConfig(num_sequences=30, seq_len=6, logit_noise_sigma=1.0, rng_seed=8)
-    pc = PredictionConfig(6, 5, rng_seed=8)
+    pc = PredictionConfig(num_patterns=5, rng_seed=8)
     assert run_refinement_experiment(cfg, pc) == run_refinement_experiment(cfg, pc)
-
-
-def test_experiment_rejects_step_mismatch():
-    cfg = SynthConfig(num_sequences=10, seq_len=6)
-    with pytest.raises(ValueError, match="num_steps"):
-        run_refinement_experiment(cfg, PredictionConfig(5, 2))
 
 
 def test_config_validation():

@@ -28,8 +28,8 @@ def test_vocabulary_rejects_bad_kind():
 
 def test_vocabulary_roundtrip(vocabs):
     vv, nv = vocabs
-    assert Vocabulary.from_json(vv.to_json()) == vv
-    assert Vocabulary.from_json(nv.to_json()) == nv
+    assert Vocabulary.from_json(vv.to_json(), "verb") == vv
+    assert Vocabulary.from_json(nv.to_json(), "noun") == nv
 
 
 def test_sequence_roundtrip():
