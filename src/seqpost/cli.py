@@ -307,16 +307,7 @@ def cmd_eval(args) -> list[str]:
 # synth
 
 
-_SYNTH_FIELDS = [f.name for f in dataclasses.fields(SynthConfig)]
-_MODES = [m.value for m in IndicatorMode]
-# the experiment's settings a synth config may carry besides the SynthConfig
-# fields: key -> (what a value must be, its check)
-_SYNTH_SETTINGS = {
-    "num_patterns": ("an integer >= 1", lambda v: isinstance(v, int)
-                     and not isinstance(v, bool) and v >= 1),
-    "mode": (f"one of {', '.join(_MODES)}", lambda v: v in _MODES),
-}
-_SYNTH_KEYS = set(_SYNTH_FIELDS) | set(_SYNTH_SETTINGS)
+_SYNTH_FIELDS = {f.name for f in dataclasses.fields(SynthConfig)}
 
 
 def _load_synth_config(path: str, seed_override) -> tuple[SynthConfig, dict]:
@@ -324,16 +315,12 @@ def _load_synth_config(path: str, seed_override) -> tuple[SynthConfig, dict]:
         obj = json.load(handle)
         if not isinstance(obj, dict):
             raise ValueError("expected a JSON object")
-        unknown = sorted(set(obj) - _SYNTH_KEYS)
+        unknown = sorted(set(obj) - _SYNTH_FIELDS)
         if unknown:
             raise ValueError(f"unknown key(s): {', '.join(unknown)}")
-        for key, (what, ok) in _SYNTH_SETTINGS.items():
-            if key in obj and not ok(obj[key]):
-                raise ValueError(f"{key} must be {what}, got {obj[key]!r}")
-        fields = {k: obj[k] for k in _SYNTH_FIELDS if k in obj}
         if seed_override is not None:
-            fields["rng_seed"] = seed_override
-        return SynthConfig(**fields), obj
+            return SynthConfig(**{**obj, "rng_seed": seed_override}), obj
+        return SynthConfig(**obj), obj
 
     return _load_file(path, parse, "synth config")
 
@@ -345,10 +332,7 @@ def cmd_synth_gen(args) -> tuple[list[str], dict, int]:
     outputs = [args.out_corpus]
     if args.out_logits:
         tensors = (
-            corrupt_to_logits_sized(
-                seq, cfg.logit_noise_sigma, cfg.logit_scale,
-                cfg.rng_seed, cfg.c_verb, cfg.c_noun, stream=cfg.num_sequences + i,
-            )
+            corrupt_to_logits_sized(seq, cfg, stream=cfg.num_sequences + i)
             for i, seq in enumerate(corpus)
         )
         dump_logits(tensors, args.out_logits)
@@ -366,12 +350,7 @@ def cmd_synth_gen(args) -> tuple[list[str], dict, int]:
 
 def cmd_synth_experiment(args) -> tuple[list[str], dict, int]:
     cfg, raw = _load_synth_config(args.config, args.seed)
-    pred_cfg = PredictionConfig(
-        num_patterns=raw.get("num_patterns", 5),
-        rng_seed=cfg.rng_seed,
-        mode=IndicatorMode(raw.get("mode", "as_written")),
-    )
-    report = run_refinement_experiment(cfg, pred_cfg)
+    report = run_refinement_experiment(cfg)
     if not args.per_example:
         report.pop("per_example")
     with open(args.out, "w") as handle:
@@ -469,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(g, cmd_synth_gen)
 
     e = synth_sub.add_parser("experiment", help="raw vs refined decoding experiment")
-    e.add_argument("--config", type=InPath, required=True, help="SynthConfig JSON (+ num_patterns, mode)")
+    e.add_argument("--config", type=InPath, required=True, help="SynthConfig JSON")
     e.add_argument("--seed", type=int, help="override rng_seed from the config")
     e.add_argument("--per-example", action="store_true")
     e.add_argument("--out", type=OutPath, required=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,7 +61,6 @@ def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float | np.ndarray:
 class MultiHeadDecoder:
     """Per-step linear heads; weights have shape (Z, feature_dim, C)."""
 
-    feature_dim: int
     verb_weights: np.ndarray  # (Z, D, C_verb)
     verb_biases: np.ndarray  # (Z, C_verb)
     noun_weights: np.ndarray  # (Z, D, C_noun)
@@ -70,6 +69,10 @@ class MultiHeadDecoder:
     @property
     def num_steps(self) -> int:
         return self.verb_weights.shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        return self.verb_weights.shape[1]
 
     @classmethod
     def init(
@@ -80,7 +83,6 @@ class MultiHeadDecoder:
         def draw(shape):
             return init_scale * rng.normals(int(np.prod(shape))).reshape(shape)
         return cls(
-            feature_dim=feature_dim,
             verb_weights=draw((num_steps, feature_dim, c_verb)),
             verb_biases=np.zeros((num_steps, c_verb)),
             noun_weights=draw((num_steps, feature_dim, c_noun)),
@@ -88,13 +90,7 @@ class MultiHeadDecoder:
         )
 
     def copy(self) -> "MultiHeadDecoder":
-        return MultiHeadDecoder(
-            feature_dim=self.feature_dim,
-            verb_weights=self.verb_weights.copy(),
-            verb_biases=self.verb_biases.copy(),
-            noun_weights=self.noun_weights.copy(),
-            noun_biases=self.noun_biases.copy(),
-        )
+        return MultiHeadDecoder(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
 
     def to_json(self) -> str:
         return json.dumps(
@@ -110,14 +106,19 @@ class MultiHeadDecoder:
 
     @classmethod
     def from_json(cls, text: str) -> "MultiHeadDecoder":
+        """A checkpoint whose arrays disagree with its num_steps, its
+        feature_dim or each other raises ValueError."""
         obj = json.loads(text)
-        return cls(
-            feature_dim=obj["feature_dim"],
-            verb_weights=np.array(obj["verb_weights"], dtype=np.float64),
-            verb_biases=np.array(obj["verb_biases"], dtype=np.float64),
-            noun_weights=np.array(obj["noun_weights"], dtype=np.float64),
-            noun_biases=np.array(obj["noun_biases"], dtype=np.float64),
-        )
+        arrays = {f.name: np.array(obj[f.name], dtype=np.float64) for f in fields(cls)}
+        z, d = obj["num_steps"], obj["feature_dim"]
+        for axis in ("verb", "noun"):
+            classes = arrays[f"{axis}_biases"].shape[-1:]  # () for a scalar
+            expected = {f"{axis}_weights": (z, d, *classes), f"{axis}_biases": (z, *classes)}
+            for key, shape in expected.items():
+                if arrays[key].shape != shape:
+                    raise ValueError(f"{key} has shape {arrays[key].shape}, expected {shape} "
+                                     f"(num_steps {z}, feature_dim {d})")
+        return cls(**arrays)
 
 
 @dataclass(frozen=True)
@@ -231,10 +232,10 @@ def train(
                 for key, grad in grads.items():
                     getattr(dec, key)[...] -= cfg.learning_rate * grad
             history.append(epoch_loss / len(order))
-    for key in ("verb_weights", "verb_biases", "noun_weights", "noun_biases"):
-        bad = np.argwhere(~np.isfinite(getattr(dec, key)))
+    for field in fields(dec):
+        bad = np.argwhere(~np.isfinite(getattr(dec, field.name)))
         if len(bad):
-            raise ValueError(f"training diverged: {key}{bad[0].tolist()} is not finite; "
+            raise ValueError(f"training diverged: {field.name}{bad[0].tolist()} is not finite; "
                              f"lower the learning rate")
     return dec, history
 
@@ -250,6 +251,8 @@ def load_train_dataset(path: str) -> list[tuple[np.ndarray, ActionSequence]]:
                 type(x) in (int, float) and math.isfinite(x) for x in raw
             )):
                 raise ValueError("features must be a 1-D list of finite numbers")
+            if not raw:
+                raise ValueError("features must not be empty")
             features = np.array(raw, dtype=np.float64)
             actions = parse_actions(obj["actions"])
             if not actions:

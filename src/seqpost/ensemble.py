@@ -31,6 +31,8 @@ class LogitsTensor:
             raise ValueError(
                 f"verb and noun logits disagree on step count: {vl.shape} vs {nl.shape}"
             )
+        if 0 in (vl.shape[1], nl.shape[1]):
+            raise ValueError(f"logits need at least one class per axis, got {vl.shape} and {nl.shape}")
         if not (np.isfinite(vl).all() and np.isfinite(nl).all()):
             raise ValueError("logits must be finite")
         object.__setattr__(self, "verb_logits", vl)
@@ -80,7 +82,8 @@ class StepDistributions:
 
 
 def combine_logits(a: LogitsTensor, b: LogitsTensor, w: EnsembleWeights) -> LogitsTensor:
-    """Elementwise alpha * a + beta * b on both axes."""
+    """Elementwise alpha * a + beta * b on both axes; a sum that overflows is
+    a ValueError naming the example."""
     if a.example_id != b.example_id:
         raise ValueError(f"example_id mismatch: {a.example_id!r} vs {b.example_id!r}")
     if a.verb_logits.shape != b.verb_logits.shape or a.noun_logits.shape != b.noun_logits.shape:
@@ -89,11 +92,14 @@ def combine_logits(a: LogitsTensor, b: LogitsTensor, w: EnsembleWeights) -> Logi
             f"a=(verb {a.verb_logits.shape}, noun {a.noun_logits.shape}) vs "
             f"b=(verb {b.verb_logits.shape}, noun {b.noun_logits.shape})"
         )
-    return LogitsTensor(
-        example_id=a.example_id,
-        verb_logits=w.alpha * a.verb_logits + w.beta * b.verb_logits,
-        noun_logits=w.alpha * a.noun_logits + w.beta * b.noun_logits,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned of
+        verb = w.alpha * a.verb_logits + w.beta * b.verb_logits
+        noun = w.alpha * a.noun_logits + w.beta * b.noun_logits
+    try:
+        return LogitsTensor(example_id=a.example_id, verb_logits=verb, noun_logits=noun)
+    except ValueError as exc:
+        raise ValueError(f"example {a.example_id!r}: weighted {exc} "
+                         f"(alpha={w.alpha}, beta={w.beta})") from exc
 
 
 def _softmax(matrix: np.ndarray) -> np.ndarray:

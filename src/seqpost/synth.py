@@ -23,7 +23,7 @@ from numbers import Real
 
 import numpy as np
 
-from .cooc import CoocStats, SmoothingConfig, build_stats
+from .cooc import CoocStats, IndicatorMode, SmoothingConfig, build_stats
 from .ensemble import LogitsTensor, softmax_rows
 from .metric import evaluate_corpus
 from .refine import PredictionConfig, PredictionSet, generate_patterns
@@ -42,10 +42,14 @@ class SynthConfig:
     logit_noise_sigma: float = 1.0
     rng_seed: int = 0
     logit_scale: float = 1.0  # one-hot height of the truth in the corrupted logits
+    num_patterns: int = 5  # K of the experiment's prediction sets
+    mode: str = "as_written"  # the experiment's IndicatorMode value
 
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
+            if field.type == "str":
+                continue
             if field.type == "int":
                 ok, what = isinstance(value, int), "an integer"
             else:
@@ -64,6 +68,11 @@ class SynthConfig:
             raise ValueError("logit_noise_sigma must be nonnegative")
         if self.logit_scale <= 0.0:
             raise ValueError("logit_scale must be positive")
+        if self.num_patterns < 1:
+            raise ValueError("num_patterns must be >= 1")
+        modes = [m.value for m in IndicatorMode]
+        if self.mode not in modes:
+            raise ValueError(f"mode must be one of {', '.join(modes)}, got {self.mode!r}")
 
 
 def sharpness_for_mass(designated_mass: float, num_classes: int) -> float:
@@ -124,36 +133,26 @@ def gen_markov_corpus(cfg: SynthConfig) -> list[ActionSequence]:
     return corpus
 
 
-def corrupt_to_logits_sized(
-    truth: ActionSequence,
-    sigma: float,
-    scale: float,
-    seed: int,
-    c_verb: int,
-    c_noun: int,
-    stream: int = 0,
-) -> LogitsTensor:
-    """scale * one-hot(truth) + gaussian noise over (c_verb, c_noun) classes,
-    drawn from (seed, stream)."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    z = len(truth.actions)
+def corrupt_to_logits_sized(truth: ActionSequence, cfg: SynthConfig, stream: int = 0) -> LogitsTensor:
+    """logit_scale * one-hot(truth) + logit_noise_sigma * gaussian noise over
+    (c_verb, c_noun) classes, drawn from (rng_seed, stream)."""
+    z, c_verb, c_noun = len(truth.actions), cfg.c_verb, cfg.c_noun
     verb_logits = np.zeros((z, c_verb))
     noun_logits = np.zeros((z, c_noun))
     for step, action in enumerate(truth.actions):
-        verb_logits[step, action.verb_id] = scale
-        noun_logits[step, action.noun_id] = scale
+        verb_logits[step, action.verb_id] = cfg.logit_scale
+        noun_logits[step, action.noun_id] = cfg.logit_scale
     # fixed draw order: all verb entries row-major, then all noun entries;
     # adding to the zeros keeps sigma = 0 noise at +0.0
-    noise = sigma * CounterRng(seed, stream=stream).normals(z * (c_verb + c_noun))
+    noise = cfg.logit_noise_sigma * CounterRng(cfg.rng_seed, stream=stream).normals(
+        z * (c_verb + c_noun)
+    )
     verb_logits += noise[: z * c_verb].reshape(z, c_verb)
     noun_logits += noise[z * c_verb :].reshape(z, c_noun)
     return LogitsTensor(example_id=truth.episode_id, verb_logits=verb_logits, noun_logits=noun_logits)
 
 
-def run_refinement_experiment(cfg: SynthConfig, pred_cfg: PredictionConfig) -> dict:
+def run_refinement_experiment(cfg: SynthConfig) -> dict:
     """Raw-argmax vs refined decoding on a corrupted held-out split.
 
     Even-index episodes train the statistics, odd-index episodes are
@@ -165,15 +164,14 @@ def run_refinement_experiment(cfg: SynthConfig, pred_cfg: PredictionConfig) -> d
     train_split = [s for i, s in enumerate(corpus) if i % 2 == 0]
     eval_split = [s for i, s in enumerate(corpus) if i % 2 == 1]
     stats = build_stats(train_split, verb_vocab, noun_vocab, SmoothingConfig())
+    pred_cfg = PredictionConfig(
+        num_patterns=cfg.num_patterns, rng_seed=cfg.rng_seed, mode=IndicatorMode(cfg.mode)
+    )
 
     full_preds: list[PredictionSet] = []
     raw_preds: list[PredictionSet] = []
     for j, truth in enumerate(eval_split):
-        logits = corrupt_to_logits_sized(
-            truth, cfg.logit_noise_sigma, cfg.logit_scale, cfg.rng_seed,
-            cfg.c_verb, cfg.c_noun, stream=cfg.num_sequences + j,
-        )
-        dists = softmax_rows(logits)
+        dists = softmax_rows(corrupt_to_logits_sized(truth, cfg, stream=cfg.num_sequences + j))
         preds = generate_patterns(dists, stats, pred_cfg, stream=j)
         full_preds.append(preds)
         raw_preds.append(
@@ -187,11 +185,7 @@ def run_refinement_experiment(cfg: SynthConfig, pred_cfg: PredictionConfig) -> d
     raw_report = evaluate_corpus(raw_preds, eval_split, keep_per_example=True)
     refined_report = evaluate_corpus(full_preds, eval_split, keep_per_example=True)
     return {
-        "config": {
-            **asdict(cfg),
-            "num_patterns": pred_cfg.num_patterns,
-            "mode": pred_cfg.mode.value,
-        },
+        "config": asdict(cfg),
         "raw": {
             "ed_verb": raw_report.ed_verb,
             "ed_noun": raw_report.ed_noun,

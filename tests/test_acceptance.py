@@ -229,14 +229,12 @@ def test_criterion_6_statistics_correctness():
 
 def test_criterion_7_directional_synthetic_claim():
     start = time.monotonic()
-    pred_cfg = PredictionConfig(num_patterns=5, rng_seed=77)
-
     structured = SynthConfig(
         c_verb=6, c_noun=6, num_sequences=200, seq_len=20,
         transition_sharpness=sharpness_for_mass(0.9, 6),
         verb_noun_coupling=0.9, logit_noise_sigma=1.0, rng_seed=77,
     )
-    report = run_refinement_experiment(structured, pred_cfg)
+    report = run_refinement_experiment(structured)
     assert report["n_eval"] == 100
     structured_delta = report["delta"]["ed_action"]
     assert report["refined"]["ed_action"] < report["raw"]["ed_action"]
@@ -246,7 +244,7 @@ def test_criterion_7_directional_synthetic_claim():
         transition_sharpness=1.0, verb_noun_coupling=0.0,
         logit_noise_sigma=1.0, rng_seed=77,
     )
-    report = run_refinement_experiment(unstructured, pred_cfg)
+    report = run_refinement_experiment(unstructured)
     flat_delta = report["delta"]["ed_action"]
     assert abs(flat_delta) < 0.05
 

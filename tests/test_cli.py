@@ -277,6 +277,23 @@ def test_synth_experiment_report_records_logit_scale(workspace):
     assert reports[0]["raw"] != reports[1]["raw"]
 
 
+PINNED_SYNTH_EXPERIMENT = {
+    "c_verb": 6, "c_noun": 8, "num_sequences": 60, "seq_len": 10,
+    "transition_sharpness": 5.0, "verb_noun_coupling": 0.7, "logit_noise_sigma": 1.0,
+    "rng_seed": 3, "num_patterns": 4, "mode": "standard_npmi",
+}
+
+
+def test_synth_experiment_report_bytes_pinned(tmp_path):
+    config, report = tmp_path / "synth.json", tmp_path / "exp.json"
+    config.write_text(json.dumps(PINNED_SYNTH_EXPERIMENT))
+    assert main(["synth", "experiment", "--quiet", "--per-example",
+                 "--config", str(config), "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "dcae416ccd3543b81733fd937686369677e8e5a7e43462718492b0a1fed2e5d6"
+    )
+
+
 def test_commands_do_not_mutate_inputs(workspace):
     before = (workspace / "logits.jsonl").read_bytes()
     assert _build_stats(workspace) == 0
@@ -641,6 +658,17 @@ def test_train_empty_actions_is_one_error_line(workspace, capsys, lineno):
     assert not (workspace / "ckpt.json").exists()
 
 
+def test_train_empty_features_is_one_error_line(tmp_path):
+    data, ckpt = tmp_path / "train.jsonl", tmp_path / "ckpt.json"
+    data.write_text("".join(json.dumps({"features": [], "actions": [[i, i]]}) + "\n"
+                            for i in range(2)))
+    done = _seqpost_subprocess("train", "--quiet", "--data", str(data), "--out", str(ckpt))
+    assert (done.returncode, done.stderr) == (
+        1, f"error: {data}:1: bad training record: features must not be empty\n"
+    )
+    assert not ckpt.exists()
+
+
 # a first line longer than one 8 KiB decoding chunk, then a bad byte on line 2
 LONG_FIRST_LINE = json.dumps({"episode_id": "e" * 9000, "actions": [[0, 0]]}).encode() + b"\n"
 
@@ -815,23 +843,27 @@ def test_train_diverging_run_is_one_error_line(workspace, capsys):
     assert not (workspace / "ckpt.json").exists()
 
 
+def _seqpost_subprocess(*argv):
+    """The CLI run in a child process, so that a numpy RuntimeWarning on stderr is seen."""
+    src = str(Path(seqpost.cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "seqpost.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 @pytest.mark.parametrize("features, extra, message", [
     ([1.0], ["--lr", "inf"], "learning_rate must be positive and finite, epochs and batch_size positive"),
     ([1e300], ["--lr", "1e10"], "training diverged: verb_weights[0, 0, 0] is not finite; "
                                 "lower the learning rate"),
 ], ids=["infinite_lr", "overflowing_update"])
 def test_train_non_finite_weights_are_one_error_line_and_no_file(tmp_path, features, extra, message):
-    # a subprocess, so that a numpy RuntimeWarning on stderr would be seen
     data, ckpt = tmp_path / "train.jsonl", tmp_path / "ckpt.json"
     data.write_text("".join(json.dumps({"features": features, "actions": [[i, i]]}) + "\n"
                             for i in range(2)))
-    src = str(Path(seqpost.cli.__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "seqpost.cli", "train", "--quiet", "--data", str(data),
-         "--epochs", "1", "--batch-size", "8", "--out", str(ckpt), *extra],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    done = _seqpost_subprocess("train", "--quiet", "--data", str(data),
+                               "--epochs", "1", "--batch-size", "8", "--out", str(ckpt), *extra)
     assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
     assert not ckpt.exists()
 
@@ -1078,3 +1110,43 @@ def test_stats_or_truth_error_comes_before_reading_the_stream(workspace, capsys,
     assert main(argv + ["--quiet", "--out", str(workspace / "out.jsonl")]) == 1
     _one_error_line(capsys, prefix)
     _assert_no_output(workspace)
+
+
+@pytest.mark.parametrize("command, weights", [
+    ("refine", "alpha=0.6, beta=1.4"),
+    ("ensemble", "alpha=0.6, beta=1.4"),
+    ("sweep", "alpha=0.0, beta=1.8"),  # the first grid pair past the largest float
+])
+def test_combined_logits_that_overflow_are_one_error_line(tmp_path, command, weights):
+    logits, truth, out = tmp_path / "big.jsonl", tmp_path / "truth.jsonl", tmp_path / "out.jsonl"
+    logits.write_text('{"example_id": "big", "verb_logits": [[1e308, 2.0]], "noun_logits": [[1.0]]}\n')
+    truth.write_text('{"episode_id": "big", "actions": [[0, 0]]}\n')
+    argv = {
+        "refine": ["refine", "--logits", logits, "--logits-b", logits, "--z", 1, "--k", 1, "--out", out],
+        "ensemble": ["ensemble", "--logits-a", logits, "--logits-b", logits, "--out", out],
+        "sweep": ["ensemble", "--sweep", "--truth", truth, "--logits-a", logits, "--logits-b", logits],
+    }[command]
+    done = _seqpost_subprocess(*map(str, argv))
+    assert (done.returncode, done.stderr) == (
+        1, f"error: example 'big': weighted logits must be finite ({weights})\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["refine", "ensemble"])
+@pytest.mark.parametrize("axis", ["verb", "noun"])
+def test_logits_record_without_classes_is_one_error_line(workspace, capsys, command, axis):
+    logits, out = workspace / "empty.jsonl", workspace / "out.jsonl"
+    record = {"example_id": "a", "verb_logits": [[1.0]], "noun_logits": [[1.0]], f"{axis}_logits": [[]]}
+    first = (workspace / "logits.jsonl").read_text().splitlines()[0]
+    _write_lines(logits, [first, json.dumps(record)])
+    argv = {
+        "refine": ["refine", "--logits", logits, "--z", 6, "--k", 1, "--out", out],
+        "ensemble": ["ensemble", "--logits-a", logits, "--logits-b", logits, "--out", out],
+    }[command]
+    assert main([*map(str, argv), "--quiet"]) == 1
+    shapes = "(1, 0) and (1, 1)" if axis == "verb" else "(1, 1) and (1, 0)"
+    assert capsys.readouterr().err == (
+        f"error: {logits}:2: bad logits record: logits need at least one class per axis, got {shapes}\n"
+    )
+    assert not out.exists()

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,7 +120,6 @@ def test_ce_gibbs_inequality():
 
 def test_forward_zero_decoder():
     dec = MultiHeadDecoder(
-        feature_dim=3,
         verb_weights=np.zeros((2, 3, 4)),
         verb_biases=np.zeros((2, 4)),
         noun_weights=np.zeros((2, 3, 5)),
@@ -131,7 +132,7 @@ def test_forward_zero_decoder():
 
 def test_forward_identity_weights():
     eye = np.stack([np.eye(3)] * 2)
-    dec = MultiHeadDecoder(3, eye, np.zeros((2, 3)), eye, np.zeros((2, 3)))
+    dec = MultiHeadDecoder(eye, np.zeros((2, 3)), eye, np.zeros((2, 3)))
     features = np.array([0.1, -2.0, 5.0])
     out = decoder_forward(dec, features)
     for z in range(2):
@@ -276,6 +277,26 @@ def test_checkpoint_roundtrip():
     assert back.feature_dim == 4
     assert np.array_equal(dec.verb_weights, back.verb_weights)
     assert np.array_equal(dec.noun_biases, back.noun_biases)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("feature_dim", 3, "verb_weights has shape (3, 4, 2), expected (3, 3, 2)"),
+    ("num_steps", 2, "verb_weights has shape (3, 4, 2), expected (2, 4, 2)"),
+    ("noun_biases", [[0.0] * 4] * 3, "noun_weights has shape (3, 4, 5), expected (3, 4, 4)"),
+    ("verb_biases", [0.0] * 2, "verb_biases has shape (2,), expected (3, 2)"),
+], ids=["feature_dim", "num_steps", "noun_classes", "flat_biases"])
+def test_checkpoint_whose_arrays_disagree_is_rejected(key, value, message):
+    obj = json.loads(MultiHeadDecoder.init(4, 3, 2, 5, seed=14).to_json())
+    obj[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} "):
+        MultiHeadDecoder.from_json(json.dumps(obj))
+
+
+def test_checkpoint_without_features_is_rejected_not_misread():
+    # a (Z, 0, C) weight array is written as Z empty lists, which reads back 2-D
+    text = MultiHeadDecoder.init(0, 2, 2, 2).to_json()
+    with pytest.raises(ValueError, match=re.escape("verb_weights has shape (2, 0), expected (2, 0, 2)")):
+        MultiHeadDecoder.from_json(text)
 
 
 @pytest.mark.parametrize("feature_dim, num_steps, c_verb, c_noun", [(3, 1, 3, 5), (5, 3, 7, 3), (1, 1, 1, 1)])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,17 @@ def test_logits_jsonl_roundtrip(tmp_path):
     for orig, loaded in zip(tensors, back):
         assert np.array_equal(orig.verb_logits, loaded.verb_logits)
         assert np.array_equal(orig.noun_logits, loaded.noun_logits)
+
+
+@pytest.mark.parametrize("b, weights, message", [
+    (1e308, EnsembleWeights(), "alpha=0.6, beta=1.4"),
+    (-1e308, EnsembleWeights(alpha=2.0, beta=2.0), "alpha=2.0, beta=2.0"),  # inf + -inf is NaN
+], ids=["overflow", "inf_minus_inf"])
+def test_combine_overflow_is_an_error_naming_the_example_and_no_warning(b, weights, message):
+    a = LogitsTensor("big", np.array([[1e308, 2.0]]), np.array([[1.0]]))
+    other = LogitsTensor("big", np.array([[b, 2.0]]), np.array([[1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            combine_logits(a, other, weights)
+    assert str(excinfo.value) == f"example 'big': weighted logits must be finite ({message})"

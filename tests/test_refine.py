@@ -236,6 +236,8 @@ def test_prediction_set_json_roundtrip():
 def test_refined_beats_raw_on_structured_episodes():
     """Near-deterministic transitions + noisy dists: the greedy refined
     pattern should match the truth at least as well on average."""
+    from dataclasses import replace
+
     from seqpost.metric import edit_distance
     from seqpost.synth import SynthConfig, corrupt_to_logits_sized, gen_markov_corpus, make_vocabularies
     from seqpost.ensemble import softmax_rows
@@ -250,7 +252,7 @@ def test_refined_beats_raw_on_structured_episodes():
     stats = build_stats(corpus[:100], vv, nv, SmoothingConfig())
     raw_total = refined_total = 0
     for j, truth in enumerate(corpus[100:]):
-        logits = corrupt_to_logits_sized(truth, 1.0, 1.0, 5, 3, 3, stream=j)
+        logits = corrupt_to_logits_sized(truth, replace(cfg, rng_seed=5), stream=j)
         dists = softmax_rows(logits)
         preds = generate_patterns(dists, stats, PredictionConfig(num_patterns=2), stream=j)
         tokens = [(a.verb_id, a.noun_id) for a in truth.actions]

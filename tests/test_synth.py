@@ -1,7 +1,9 @@
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from seqpost.refine import PredictionConfig
 from seqpost.rng import CounterRng
 from seqpost.synth import (
     SynthConfig,
@@ -87,8 +89,9 @@ def test_empirical_verb_given_noun_converges_to_planted():
 def test_corrupt_noiseless_argmax_is_truth():
     cfg = SynthConfig(c_verb=3, c_noun=4, num_sequences=5, seq_len=6, rng_seed=5)
     corpus = gen_markov_corpus(cfg)
+    noiseless = SynthConfig(c_verb=3, c_noun=4, logit_noise_sigma=0.0, rng_seed=9)
     for seq in corpus:
-        logits = corrupt_to_logits_sized(seq, 0.0, 1.0, 9, 3, 4)
+        logits = corrupt_to_logits_sized(seq, noiseless)
         for z, action in enumerate(seq.actions):
             assert int(np.argmax(logits.verb_logits[z])) == action.verb_id
             assert int(np.argmax(logits.noun_logits[z])) == action.noun_id
@@ -96,8 +99,8 @@ def test_corrupt_noiseless_argmax_is_truth():
 
 def test_corrupt_deterministic():
     seq = ActionSequence("e", gen_markov_corpus(SynthConfig(num_sequences=1, seq_len=5))[0].actions)
-    a = corrupt_to_logits_sized(seq, 1.0, 1.0, 7, 6, 8, stream=3)
-    b = corrupt_to_logits_sized(seq, 1.0, 1.0, 7, 6, 8, stream=3)
+    a = corrupt_to_logits_sized(seq, SynthConfig(rng_seed=7), stream=3)
+    b = corrupt_to_logits_sized(seq, SynthConfig(rng_seed=7), stream=3)
     assert np.array_equal(a.verb_logits, b.verb_logits)
     assert np.array_equal(a.noun_logits, b.noun_logits)
 
@@ -106,9 +109,10 @@ def test_corrupt_huge_noise_accuracy_near_chance():
     c = 5
     cfg = SynthConfig(c_verb=c, c_noun=c, num_sequences=500, seq_len=20, rng_seed=6)
     corpus = gen_markov_corpus(cfg)
+    noisy = SynthConfig(c_verb=c, c_noun=c, logit_noise_sigma=100.0, rng_seed=11)
     hits = total = 0
     for i, seq in enumerate(corpus):
-        logits = corrupt_to_logits_sized(seq, 100.0, 1.0, 11, c, c, stream=i)
+        logits = corrupt_to_logits_sized(seq, noisy, stream=i)
         for z, action in enumerate(seq.actions):
             hits += int(np.argmax(logits.noun_logits[z])) == action.noun_id
             total += 1
@@ -123,15 +127,26 @@ def test_experiment_noiseless_is_zero_everywhere():
         transition_sharpness=5.0, verb_noun_coupling=0.5,
         logit_noise_sigma=0.0, rng_seed=7,
     )
-    report = run_refinement_experiment(cfg, PredictionConfig(num_patterns=5, rng_seed=7))
+    report = run_refinement_experiment(cfg)
     assert report["raw"]["ed_action"] == 0.0
     assert report["refined"]["ed_action"] == 0.0
 
 
 def test_experiment_reproducible():
     cfg = SynthConfig(num_sequences=30, seq_len=6, logit_noise_sigma=1.0, rng_seed=8)
-    pc = PredictionConfig(num_patterns=5, rng_seed=8)
-    assert run_refinement_experiment(cfg, pc) == run_refinement_experiment(cfg, pc)
+    assert run_refinement_experiment(cfg) == run_refinement_experiment(cfg)
+
+
+def test_experiment_reads_num_patterns_and_mode_from_its_config():
+    base = dict(c_verb=4, c_noun=5, num_sequences=40, seq_len=8, transition_sharpness=5.0,
+                verb_noun_coupling=0.7, rng_seed=2)
+    configs = [SynthConfig(**base, num_patterns=k, mode=m)
+               for k, m in ((5, "as_written"), (2, "as_written"), (5, "standard_npmi"))]
+    reports = [run_refinement_experiment(cfg) for cfg in configs]
+    assert [r["config"] for r in reports] == [asdict(cfg) for cfg in configs]
+    # each setting changes the refined numbers, so the report must record it
+    assert reports[0]["refined"] != reports[1]["refined"]
+    assert reports[0]["refined"] != reports[2]["refined"]
 
 
 def test_config_validation():
@@ -143,6 +158,10 @@ def test_config_validation():
         SynthConfig(verb_noun_coupling=1.5)
     with pytest.raises(ValueError):
         SynthConfig(logit_noise_sigma=-1.0)
+    with pytest.raises(ValueError, match="^num_patterns must be >= 1$"):
+        SynthConfig(num_patterns=0)
+    with pytest.raises(ValueError, match=re.escape("mode must be one of as_written, standard_npmi, got 'npmi'")):
+        SynthConfig(mode="npmi")
 
 
 @pytest.mark.parametrize(
@@ -160,9 +179,9 @@ def test_config_validation():
 def test_corrupt_equals_scalar_triple_loop(z, c_verb, c_noun, sigma, scale, seed, stream):
     rng = CounterRng(seed + 1000, stream=stream)
     actions = tuple(Action(rng.randint(c_verb), rng.randint(c_noun)) for _ in range(z))
-    logits = corrupt_to_logits_sized(
-        ActionSequence("e", actions), sigma, scale, seed, c_verb, c_noun, stream=stream
-    )
+    cfg = SynthConfig(c_verb=c_verb, c_noun=c_noun, logit_noise_sigma=sigma,
+                      logit_scale=scale, rng_seed=seed)
+    logits = corrupt_to_logits_sized(ActionSequence("e", actions), cfg, stream=stream)
     verb, noun = corrupt_logits_loop(actions, sigma, scale, seed, c_verb, c_noun, stream=stream)
     assert logits.verb_logits.tobytes() == verb.tobytes()
     assert logits.noun_logits.tobytes() == noun.tobytes()
@@ -179,6 +198,7 @@ def test_corrupt_equals_scalar_triple_loop(z, c_verb, c_noun, sigma, scale, seed
         ("transition_sharpness", float("inf")),
         ("verb_noun_coupling", False),
         ("logit_noise_sigma", "1.0"),
+        ("num_patterns", 2.5),
     ],
 )
 def test_config_rejects_mistyped_fields(field, value):
