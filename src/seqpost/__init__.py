@@ -22,6 +22,7 @@ from .ensemble import (
     LogitsTensor,
     StepDistributions,
     combine_logits,
+    softmax,
     softmax_rows,
 )
 from .metric import EvalReport, ed_at_k, edit_distance, evaluate_corpus
@@ -74,6 +75,7 @@ __all__ = [
     "refine_verb_step",
     "run_refinement_experiment",
     "smooth_labels",
+    "softmax",
     "softmax_rows",
     "train",
     "validate_sequence",

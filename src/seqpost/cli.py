@@ -52,10 +52,6 @@ from .synth import (
 from .vocab import Vocabulary, dump_corpus, load_corpus, validate_sequence  # noqa: F401
 
 
-class CliError(Exception):
-    pass
-
-
 class InPath(str):
     """Type of an option naming a file the command reads; its digest is an input."""
 
@@ -108,12 +104,12 @@ def _say(args, message):
 
 def _load_file(path: str, parse, kind: str):
     """``parse`` applied to a JSON file's text handle; a malformed file is a
-    CliError."""
+    ValueError naming it."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             return parse(handle)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path}: bad {kind} file: {exc}") from exc
+        raise ValueError(f"{path}: bad {kind} file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +145,9 @@ def cmd_stats(args) -> list[str]:
 
 def cmd_ensemble(args) -> list[str]:
     if args.sweep and not args.truth:
-        raise CliError("--sweep requires --truth")
+        raise ValueError("--sweep requires --truth")
     if not args.sweep and not args.out:
-        raise CliError("--out is required unless --sweep is given")
+        raise ValueError("--out is required unless --sweep is given")
     weights = EnsembleWeights(alpha=args.alpha, beta=args.beta)
 
     if args.sweep:
@@ -166,14 +162,14 @@ def cmd_ensemble(args) -> list[str]:
 
 def _logits_pairs(path_a: str, path_b: str) -> Iterator[tuple[LogitsTensor, LogitsTensor]]:
     """The records of two logits files read in lockstep, one pair at a time.
-    Files of different lengths are a CliError giving both record counts, so
+    Files of different lengths are a ValueError giving both record counts, so
     the rest of the longer file is read to count it."""
     a_records, b_records = iter_logits(path_a), iter_logits(path_b)
     for n, (a, b) in enumerate(itertools.zip_longest(a_records, b_records)):
         if a is None or b is None:
             rest = 1 + sum(1 for _ in (b_records if a is None else a_records))
             n_a, n_b = (n, n + rest) if a is None else (n + rest, n)
-            raise CliError(f"logits files differ in length: {n_a} vs {n_b}")
+            raise ValueError(f"logits files differ in length: {n_a} vs {n_b}")
         yield a, b
 
 
@@ -183,7 +179,7 @@ def _sweep(args) -> None:
     a_list = load_logits(args.logits_a)
     b_list = load_logits(args.logits_b)
     if len(a_list) != len(b_list):
-        raise CliError(f"logits files differ in length: {len(a_list)} vs {len(b_list)}")
+        raise ValueError(f"logits files differ in length: {len(a_list)} vs {len(b_list)}")
     truths = load_corpus(args.truth)
     grid = [round(0.1 * i, 1) for i in range(0, 21)]
     raw_cfg = PredictionConfig(num_patterns=1)
@@ -214,7 +210,7 @@ def cmd_refine(args) -> list[str]:
     """Refine each example as it is read: only the predictions are held until
     they are written, so memory does not grow with the logits files."""
     if args.k >= 2 and not args.stats:
-        raise CliError("refinement (k >= 2) requires --stats")
+        raise ValueError("refinement (k >= 2) requires --stats")
     stats = None
     if args.stats:
         stats = _load_file(args.stats, CoocStats.from_json, "stats")
@@ -232,12 +228,12 @@ def cmd_refine(args) -> list[str]:
     pred_sets = []
     for i, tensor in enumerate(tensors):
         if tensor.num_steps != args.z:
-            raise CliError(
+            raise ValueError(
                 f"example {tensor.example_id!r} has {tensor.num_steps} steps, expected {args.z}"
             )
         classes = (tensor.verb_logits.shape[1], tensor.noun_logits.shape[1])
         if stats is not None and classes != (stats.c_verb, stats.c_noun):
-            raise CliError(
+            raise ValueError(
                 f"{args.logits}: example {tensor.example_id!r} has {classes[0]} verb and "
                 f"{classes[1]} noun classes, {args.stats} has {stats.c_verb} and {stats.c_noun}"
             )
@@ -258,14 +254,14 @@ def _class_count(given, flag, ids) -> int:
     if given is None:
         return max([0, *ids]) + 1
     if given < 1:
-        raise CliError(f"{flag} must be >= 1, got {given}")
+        raise ValueError(f"{flag} must be >= 1, got {given}")
     return given
 
 
 def cmd_train(args) -> list[str]:
     dataset = load_train_dataset(args.data)
     if not dataset:
-        raise CliError("empty training dataset")
+        raise ValueError("empty training dataset")
     feature_dim, num_steps = dataset[0][0].shape[0], len(dataset[0][1].actions)
     actions = [a for _, seq in dataset for a in seq.actions]
     c_verb = _class_count(args.c_verb, "--c-verb", [a.verb_id for a in actions])
@@ -368,7 +364,9 @@ def cmd_synth_experiment(args) -> tuple[list[str], dict, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Options typed InPath or OutPath name files; every other option is config."""
+    """Options typed InPath or OutPath name files; every other option is config.
+    A setting held by a library config type defaults to that type's default."""
+    smoothing, weights, train_cfg = SmoothingConfig(), EnsembleWeights(), TrainConfig()
     parser = argparse.ArgumentParser(prog="seqpost", description=__doc__)
     parser.add_argument("--version", action="version", version=f"seqpost {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -384,17 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", type=InPath, help="optional validation corpus, concatenated with --train")
     p.add_argument("--verb-vocab", type=InPath, required=True)
     p.add_argument("--noun-vocab", type=InPath, required=True)
-    p.add_argument("--add-k", type=float, default=1.0)
-    p.add_argument("--prob-clamp-min", type=float, default=1e-6)
-    p.add_argument("--prob-clamp-max", type=float, default=1.0 - 1e-6)
+    p.add_argument("--add-k", type=float, default=smoothing.add_k)
+    p.add_argument("--prob-clamp-min", type=float, default=smoothing.prob_clamp_min)
+    p.add_argument("--prob-clamp-max", type=float, default=smoothing.prob_clamp_max)
     p.add_argument("--out", type=OutPath, required=True)
     common(p, cmd_stats)
 
     p = sub.add_parser("ensemble", help="weighted logit combination of two models")
     p.add_argument("--logits-a", type=InPath, required=True)
     p.add_argument("--logits-b", type=InPath, required=True)
-    p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--beta", type=float, default=1.4)
+    p.add_argument("--alpha", type=float, default=weights.alpha)
+    p.add_argument("--beta", type=float, default=weights.beta)
     p.add_argument("--out", type=OutPath, help="combined logits output (JSONL)")
     p.add_argument("--sweep", action="store_true",
                    help="grid-search weights over [0,2] step 0.1 against --truth")
@@ -405,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", type=InPath, help="statistics file (required when k >= 2)")
     p.add_argument("--logits", type=InPath, required=True)
     p.add_argument("--logits-b", type=InPath, help="second model's logits; enables the ensemble stage")
-    p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--beta", type=float, default=1.4)
+    p.add_argument("--alpha", type=float, default=weights.alpha)
+    p.add_argument("--beta", type=float, default=weights.beta)
     p.add_argument("--z", type=int, default=20, help="steps per pattern")
     p.add_argument("--k", type=int, default=5, help="patterns per example")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["as_written", "standard_npmi"], default="as_written")
+    p.add_argument("--mode", choices=[m.value for m in IndicatorMode], default=IndicatorMode.AS_WRITTEN.value)
     p.add_argument("--out", type=OutPath, required=True)
     common(p, cmd_refine)
 
@@ -419,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL of {features, actions}; Z is the first record's action count")
     p.add_argument("--smooth", choices=["on", "off"], default="off")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--lr", type=float, default=train_cfg.learning_rate)
+    p.add_argument("--epochs", type=int, default=train_cfg.epochs)
+    p.add_argument("--batch-size", type=int, default=train_cfg.batch_size)
     p.add_argument("--c-verb", type=int, help="verb class count (default: inferred)")
     p.add_argument("--c-noun", type=int, help="noun class count (default: inferred)")
     p.add_argument("--out", type=OutPath, required=True, help="decoder checkpoint (JSON)")
@@ -469,7 +467,7 @@ def main(argv=None) -> int:
         )
         if outputs:
             _write_manifest(args, _path_dests(parser), outputs, file_config, seed)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ensemble import LogitsTensor, softmax_rows
+from .ensemble import softmax
 from .rng import CounterRng
 from .vocab import ActionSequence, iter_jsonl, parse_actions
 
@@ -79,6 +79,10 @@ class MultiHeadDecoder:
         cls, feature_dim: int, num_steps: int, c_verb: int, c_noun: int,
         seed: int = 0, init_scale: float = 0.01,
     ) -> "MultiHeadDecoder":
+        sizes = {"feature_dim": feature_dim, "num_steps": num_steps, "c_verb": c_verb, "c_noun": c_noun}
+        for name, size in sizes.items():
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
         rng = CounterRng(seed, stream=0xDEC0DE)
         def draw(shape):
             return init_scale * rng.normals(int(np.prod(shape))).reshape(shape)
@@ -135,23 +139,17 @@ class TrainConfig:
                              "epochs and batch_size positive")
 
 
-def decoder_forward(dec: MultiHeadDecoder, features: np.ndarray) -> LogitsTensor:
-    """Logits of one (D,) feature vector as (Z, C) rows, or of a (B, D)
-    batch as B·Z rows, example by example."""
+def decoder_forward(dec: MultiHeadDecoder, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(verb_logits, noun_logits) of one (D,) feature vector, each (Z, C), or
+    of a (B, D) batch, each (B, Z, C)."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim not in (1, 2) or features.shape[-1] != dec.feature_dim:
         raise ValueError(
             f"feature vector has shape {features.shape}, expected ({dec.feature_dim},) "
             f"or (batch, {dec.feature_dim})"
         )
-    def head(weights, biases):
-        logits = np.einsum("...d,zdc->...zc", features, weights) + biases
-        return logits.reshape(-1, weights.shape[2])
-    return LogitsTensor(
-        example_id="",
-        verb_logits=head(dec.verb_weights, dec.verb_biases),
-        noun_logits=head(dec.noun_weights, dec.noun_biases),
-    )
+    return (np.einsum("...d,zdc->...zc", features, dec.verb_weights) + dec.verb_biases,
+            np.einsum("...d,zdc->...zc", features, dec.noun_weights) + dec.noun_biases)
 
 
 def loss_and_grad(
@@ -163,17 +161,15 @@ def loss_and_grad(
     analytic gradients in the same layout as the decoder parameters."""
     features = np.array([f for f, _ in batch], dtype=np.float64)  # (B, D)
     ids = np.array([[(a.verb_id, a.noun_id) for a in seq.actions] for _, seq in batch])
-    dists = softmax_rows(decoder_forward(dec, features))
+    logits = decoder_forward(dec, features)
     scale = 1.0 / len(batch)
     grads: dict[str, np.ndarray] = {}
     row_losses = []
-    for axis, probs, class_ids in (
-        ("verb", dists.verb_probs, ids[..., 0]), ("noun", dists.noun_probs, ids[..., 1])
-    ):
-        targets = np.eye(probs.shape[1])[class_ids]  # (B, Z, C) one-hot rows
+    for axis, axis_logits, class_ids in zip(("verb", "noun"), logits, np.moveaxis(ids, -1, 0)):
+        probs = softmax(axis_logits)  # (B, Z, C)
+        targets = np.eye(probs.shape[-1])[class_ids]  # one-hot rows
         if use_smoothing:
             targets = smooth_labels(targets)
-        probs = probs.reshape(targets.shape)
         row_losses.append(cross_entropy(probs, targets))  # (B, Z)
         delta = probs - targets  # d loss / d logits
         grads[f"{axis}_weights"] = np.einsum("bd,bzc->zdc", features, delta) * scale

@@ -102,18 +102,19 @@ def combine_logits(a: LogitsTensor, b: LogitsTensor, w: EnsembleWeights) -> Logi
                          f"(alpha={w.alpha}, beta={w.beta})") from exc
 
 
-def _softmax(matrix: np.ndarray) -> np.ndarray:
-    shifted = matrix - matrix.max(axis=1, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis, of one row or of any stack."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def softmax_rows(logits: LogitsTensor) -> StepDistributions:
-    """Max-subtracted rowwise softmax on both axes."""
+    """``softmax`` of each step's row, on both axes."""
     return StepDistributions(
         example_id=logits.example_id,
-        verb_probs=_softmax(logits.verb_logits),
-        noun_probs=_softmax(logits.noun_logits),
+        verb_probs=softmax(logits.verb_logits),
+        noun_probs=softmax(logits.noun_logits),
     )
 
 

@@ -31,6 +31,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# The largest magnitude gauss and normals return: the Box-Muller radius at the
+# smallest draw u1 = 2**-53, times a cosine or sine of magnitude at most 1.
+NORMAL_BOUND = math.sqrt(-2.0 * math.log(2.0 ** -53))
 
 
 def _finalize(x: int) -> int:

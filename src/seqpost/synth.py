@@ -27,7 +27,7 @@ from .cooc import CoocStats, IndicatorMode, SmoothingConfig, build_stats
 from .ensemble import LogitsTensor, softmax_rows
 from .metric import evaluate_corpus
 from .refine import PredictionConfig, PredictionSet, generate_patterns
-from .rng import CounterRng
+from .rng import NORMAL_BOUND, CounterRng
 from .vocab import Action, ActionSequence, Vocabulary
 
 
@@ -43,7 +43,7 @@ class SynthConfig:
     rng_seed: int = 0
     logit_scale: float = 1.0  # one-hot height of the truth in the corrupted logits
     num_patterns: int = 5  # K of the experiment's prediction sets
-    mode: str = "as_written"  # the experiment's IndicatorMode value
+    mode: str = IndicatorMode.AS_WRITTEN.value  # the experiment's IndicatorMode value
 
     def __post_init__(self):
         for field in fields(self):
@@ -68,6 +68,9 @@ class SynthConfig:
             raise ValueError("logit_noise_sigma must be nonnegative")
         if self.logit_scale <= 0.0:
             raise ValueError("logit_scale must be positive")
+        if not math.isfinite(self.logit_scale + self.logit_noise_sigma * NORMAL_BOUND):
+            raise ValueError(f"the corrupted logits can overflow: logit_scale + "
+                             f"logit_noise_sigma * {NORMAL_BOUND} must be finite")
         if self.num_patterns < 1:
             raise ValueError("num_patterns must be >= 1")
         modes = [m.value for m in IndicatorMode]
@@ -182,28 +185,14 @@ def run_refinement_experiment(cfg: SynthConfig) -> dict:
             )
         )
 
-    raw_report = evaluate_corpus(raw_preds, eval_split, keep_per_example=True)
-    refined_report = evaluate_corpus(full_preds, eval_split, keep_per_example=True)
+    reports = {name: evaluate_corpus(preds, eval_split, keep_per_example=True)
+               for name, preds in (("raw", raw_preds), ("refined", full_preds))}
+    eds = {name: {key: getattr(report, key) for key in ("ed_verb", "ed_noun", "ed_action")}
+           for name, report in reports.items()}
     return {
         "config": asdict(cfg),
-        "raw": {
-            "ed_verb": raw_report.ed_verb,
-            "ed_noun": raw_report.ed_noun,
-            "ed_action": raw_report.ed_action,
-        },
-        "refined": {
-            "ed_verb": refined_report.ed_verb,
-            "ed_noun": refined_report.ed_noun,
-            "ed_action": refined_report.ed_action,
-        },
-        "delta": {
-            "ed_verb": raw_report.ed_verb - refined_report.ed_verb,
-            "ed_noun": raw_report.ed_noun - refined_report.ed_noun,
-            "ed_action": raw_report.ed_action - refined_report.ed_action,
-        },
-        "n_eval": refined_report.n_examples,
-        "per_example": {
-            "raw": raw_report.per_example,
-            "refined": refined_report.per_example,
-        },
+        **eds,
+        "delta": {key: eds["raw"][key] - eds["refined"][key] for key in eds["raw"]},
+        "n_eval": reports["refined"].n_examples,
+        "per_example": {name: report.per_example for name, report in reports.items()},
     }

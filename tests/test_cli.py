@@ -12,8 +12,9 @@ import pytest
 import seqpost.cli
 import seqpost.metric
 from seqpost.cli import main
-from seqpost.cooc import CoocStats
-from seqpost.ensemble import LogitsTensor
+from seqpost.cooc import CoocStats, IndicatorMode, SmoothingConfig
+from seqpost.decoder import TrainConfig
+from seqpost.ensemble import EnsembleWeights, LogitsTensor
 from seqpost.refine import PredictionSet
 
 
@@ -799,6 +800,29 @@ def test_manifest_records_paths_seed_and_every_other_option(manifest_workspace, 
     assert set(manifest["config"]) == config_keys
 
 
+def test_manifest_records_the_library_defaults(manifest_workspace):
+    """An option left out is recorded as the default of the library's config type."""
+    smoothing, weights, train_cfg = SmoothingConfig(), EnsembleWeights(), TrainConfig()
+    cases = [
+        ("stats --train corpus.jsonl --verb-vocab vocab.verb.json --noun-vocab vocab.noun.json "
+         "--out m.json", {"add_k": smoothing.add_k, "prob_clamp_min": smoothing.prob_clamp_min,
+                          "prob_clamp_max": smoothing.prob_clamp_max}),
+        ("ensemble --logits-a logits.jsonl --logits-b logits_b.jsonl --out m.jsonl",
+         {"alpha": weights.alpha, "beta": weights.beta}),
+        ("refine --stats stats.json --logits logits.jsonl --logits-b logits_b.jsonl --z 6 "
+         "--out m.jsonl", {"alpha": weights.alpha, "beta": weights.beta,
+                           "mode": IndicatorMode.AS_WRITTEN.value}),
+        ("train --data train.jsonl --out m.json",
+         {"lr": train_cfg.learning_rate, "epochs": train_cfg.epochs,
+          "batch_size": train_cfg.batch_size}),
+    ]
+    for argv, defaults in cases:
+        assert main(argv.split() + ["--quiet"]) == 0, argv
+        manifest = manifest_workspace / f"{argv.split()[-1]}.manifest.json"
+        config = json.loads(manifest.read_text())["config"]
+        assert {key: config[key] for key in defaults} == defaults, argv
+
+
 def test_manifest_option_sets_the_path(manifest_workspace):
     assert main(["eval", "--quiet", "--preds", "preds.jsonl", "--truth", "corpus.jsonl",
                  "--out", "m.json", "--manifest", "elsewhere.json"]) == 0
@@ -839,7 +863,8 @@ def test_train_checkpoint_bytes_and_loss_line_pinned(tmp_path, capsys, smooth, d
 def test_train_diverging_run_is_one_error_line(workspace, capsys):
     rows = [{"features": [1e308, 1e308], "actions": [[0, 1], [1, 0]]}] * 2
     assert _train_cmd(workspace, rows, ["--lr", "10", "--epochs", "3"]) == 1
-    assert capsys.readouterr().err == "error: logits must be finite\n"
+    assert capsys.readouterr().err == ("error: training diverged: noun_weights[0, 0, 0] is not "
+                                       "finite; lower the learning rate\n")
     assert not (workspace / "ckpt.json").exists()
 
 
@@ -1131,6 +1156,21 @@ def test_combined_logits_that_overflow_are_one_error_line(tmp_path, command, wei
         1, f"error: example 'big': weighted logits must be finite ({weights})\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["gen", "experiment"])
+def test_synth_config_whose_logits_can_overflow_is_one_error_line_and_no_file(tmp_path, subcommand):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"c_verb": 3, "c_noun": 4, "num_sequences": 3, "seq_len": 3,
+                                  "logit_noise_sigma": 1e308}))
+    outputs = {"gen": ["--out-corpus", tmp_path / "c.jsonl", "--out-logits", tmp_path / "l.jsonl"],
+               "experiment": ["--out", tmp_path / "r.json"]}[subcommand]
+    done = _seqpost_subprocess(*map(str, ["synth", subcommand, "--config", config, *outputs]))
+    assert (done.returncode, done.stderr) == (
+        1, f"error: {config}: bad synth config file: the corrupted logits can overflow: "
+           "logit_scale + logit_noise_sigma * 8.571674348652905 must be finite\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 @pytest.mark.parametrize("command", ["refine", "ensemble"])

@@ -15,7 +15,7 @@ from seqpost.decoder import (
     smooth_labels,
     train,
 )
-from seqpost.ensemble import softmax_rows
+from seqpost.ensemble import softmax
 from seqpost.rng import CounterRng
 from seqpost.vocab import Action, ActionSequence
 
@@ -125,30 +125,31 @@ def test_forward_zero_decoder():
         noun_weights=np.zeros((2, 3, 5)),
         noun_biases=np.zeros((2, 5)),
     )
-    out = decoder_forward(dec, np.array([1.0, 2.0, 3.0]))
-    assert np.all(out.verb_logits == 0.0)
-    assert np.all(out.noun_logits == 0.0)
+    verb_logits, noun_logits = decoder_forward(dec, np.array([1.0, 2.0, 3.0]))
+    assert verb_logits.shape == (2, 4) and noun_logits.shape == (2, 5)
+    assert np.all(verb_logits == 0.0)
+    assert np.all(noun_logits == 0.0)
 
 
 def test_forward_identity_weights():
     eye = np.stack([np.eye(3)] * 2)
     dec = MultiHeadDecoder(eye, np.zeros((2, 3)), eye, np.zeros((2, 3)))
     features = np.array([0.1, -2.0, 5.0])
-    out = decoder_forward(dec, features)
+    verb_logits, _ = decoder_forward(dec, features)
     for z in range(2):
-        assert np.allclose(out.verb_logits[z], features)
+        assert np.allclose(verb_logits[z], features)
 
 
 def test_forward_against_scalar_loop():
     dec = MultiHeadDecoder.init(4, 3, 3, 5, seed=9, init_scale=0.5)
     rng = CounterRng(10)
     features = np.array([rng.gauss() for _ in range(4)])
-    out = decoder_forward(dec, features)
+    verb_logits, _ = decoder_forward(dec, features)
     for z in range(3):
         for c in range(3):
             expected = sum(dec.verb_weights[z][d][c] * features[d] for d in range(4))
             expected += dec.verb_biases[z][c]
-            assert out.verb_logits[z][c] == pytest.approx(expected, abs=1e-12)
+            assert verb_logits[z][c] == pytest.approx(expected, abs=1e-12)
 
 
 def test_forward_dimension_mismatch():
@@ -237,11 +238,11 @@ def test_smoothing_preserves_converged_argmax():
         trained, _ = train(dec, dataset, cfg)
         preds = []
         for features, _seq in dataset:
-            out = decoder_forward(trained, features)
+            verb_logits, noun_logits = decoder_forward(trained, features)
             preds.append(
                 (
-                    tuple(int(np.argmax(out.verb_logits[t])) for t in range(z)),
-                    tuple(int(np.argmax(out.noun_logits[t])) for t in range(z)),
+                    tuple(int(np.argmax(verb_logits[t])) for t in range(z)),
+                    tuple(int(np.argmax(noun_logits[t])) for t in range(z)),
                 )
             )
         results[smoothing] = preds
@@ -294,9 +295,20 @@ def test_checkpoint_whose_arrays_disagree_is_rejected(key, value, message):
 
 def test_checkpoint_without_features_is_rejected_not_misread():
     # a (Z, 0, C) weight array is written as Z empty lists, which reads back 2-D
-    text = MultiHeadDecoder.init(0, 2, 2, 2).to_json()
+    weights, biases = np.zeros((2, 0, 2)), np.zeros((2, 2))
+    text = MultiHeadDecoder(weights, biases, weights, biases).to_json()
     with pytest.raises(ValueError, match=re.escape("verb_weights has shape (2, 0), expected (2, 0, 2)")):
         MultiHeadDecoder.from_json(text)
+
+
+@pytest.mark.parametrize("sizes, name", [
+    ((0, 2, 2, 2), "feature_dim"), ((3, 0, 2, 2), "num_steps"),
+    ((3, 2, 0, 2), "c_verb"), ((3, 2, 2, -1), "c_noun"),
+])
+def test_init_rejects_an_empty_dimension(sizes, name):
+    # such a decoder would write a checkpoint that from_json cannot read back
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {min(sizes)}$"):
+        MultiHeadDecoder.init(*sizes)
 
 
 @pytest.mark.parametrize("feature_dim, num_steps, c_verb, c_noun", [(3, 1, 3, 5), (5, 3, 7, 3), (1, 1, 1, 1)])
@@ -363,8 +375,8 @@ def _loss_and_grad_per_example(dec, batch, use_smoothing):
              for key in ("verb_weights", "verb_biases", "noun_weights", "noun_biases")}
     total_loss = 0.0
     for features, seq in batch:
-        dists = softmax_rows(decoder_forward(dec, features))
-        for axis, probs in (("verb", dists.verb_probs), ("noun", dists.noun_probs)):
+        for axis, logits in zip(("verb", "noun"), decoder_forward(dec, features)):
+            probs = softmax(logits)
             targets = np.eye(probs.shape[1])[[getattr(a, f"{axis}_id") for a in seq.actions]]
             if use_smoothing:
                 targets = smooth_labels(targets)
@@ -401,10 +413,11 @@ def test_batched_forms_equal_row_forms():
         dec = MultiHeadDecoder.init(d, z, c_verb, c_noun, seed=rng.randint(1000), init_scale=0.5)
         features = rng.normals(b * d).reshape(b, d)
         batched = decoder_forward(dec, features)
+        assert [logits.shape for logits in batched] == [(b, z, c_verb), (b, z, c_noun)]
         for i in range(b):
             one = decoder_forward(dec, features[i])
-            assert batched.verb_logits[i * z:(i + 1) * z].tobytes() == one.verb_logits.tobytes()
-            assert batched.noun_logits[i * z:(i + 1) * z].tobytes() == one.noun_logits.tobytes()
+            for batched_logits, one_logits in zip(batched, one):
+                assert batched_logits[i].tobytes() == one_logits.tobytes()
 
         onehots = np.eye(c_noun)[[[rng.randint(c_noun) for _ in range(z)] for _ in range(b)]]
         smoothed = smooth_labels(onehots)

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqpost.rng import CounterRng
+from seqpost.rng import NORMAL_BOUND, CounterRng
 
 
 def test_known_values_frozen():
@@ -158,3 +158,9 @@ def test_choice_from_cdf_on_an_array_equals_a_numpy_scalar_walk(seed, weights, n
     else:
         expected = max((i for i, p in enumerate(row) if p > 0), default=0)
     assert CounterRng(seed).choice_from_cdf(row) == expected
+
+
+def test_normal_bound_is_the_largest_draw(monkeypatch):
+    # all-zero outputs give u1 = 0, nudged to 2**-53, and u2 = 0, so cos(theta) = 1
+    monkeypatch.setattr(CounterRng, "_next_u64_block", lambda self, m: np.zeros(m, dtype=np.uint64))
+    assert CounterRng(0).normals(1)[0] == NORMAL_BOUND == 8.571674348652905

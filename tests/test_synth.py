@@ -1,10 +1,12 @@
+import math
 import re
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from seqpost.rng import CounterRng
+from seqpost.rng import NORMAL_BOUND, CounterRng
 from seqpost.synth import (
     SynthConfig,
     corrupt_to_logits_sized,
@@ -204,3 +206,30 @@ def test_corrupt_equals_scalar_triple_loop(z, c_verb, c_noun, sigma, scale, seed
 def test_config_rejects_mistyped_fields(field, value):
     with pytest.raises(TypeError, match=f"^{field} must be"):
         SynthConfig(**{field: value})
+
+
+def _accepts(**fields):
+    try:
+        SynthConfig(**fields)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e307])
+def test_largest_accepted_noise_corrupts_to_finite_logits(monkeypatch, scale):
+    sigma = (sys.float_info.max - scale) / NORMAL_BOUND
+    while _accepts(logit_scale=scale, logit_noise_sigma=math.nextafter(sigma, math.inf)):
+        sigma = math.nextafter(sigma, math.inf)
+    while not _accepts(logit_scale=scale, logit_noise_sigma=sigma):
+        sigma = math.nextafter(sigma, 0.0)
+    cfg = SynthConfig(c_verb=3, c_noun=4, logit_scale=scale, logit_noise_sigma=sigma)
+    truth = ActionSequence("e", (Action(0, 1), Action(2, 3)))
+    with np.errstate(all="raise"):
+        for stream in range(20):
+            logits = corrupt_to_logits_sized(truth, cfg, stream=stream)
+            assert np.isfinite(logits.verb_logits).all() and np.isfinite(logits.noun_logits).all()
+        # every draw at the bound, added to the truth's height on every step
+        monkeypatch.setattr(CounterRng, "_next_u64_block", lambda self, m: np.zeros(m, dtype=np.uint64))
+        logits = corrupt_to_logits_sized(truth, cfg)
+    assert logits.verb_logits[0, 0] == scale + sigma * NORMAL_BOUND
