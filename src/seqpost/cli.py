@@ -346,6 +346,9 @@ def cmd_synth_gen(args) -> tuple[list[str], dict, int]:
 
 def cmd_synth_experiment(args) -> tuple[list[str], dict, int]:
     cfg, raw = _load_synth_config(args.config, args.seed)
+    if cfg.num_sequences < 2:
+        raise ValueError(f"{args.config}: bad synth config file: num_sequences must be >= 2: "
+                         "even-index episodes build the statistics and odd-index ones are evaluated")
     report = run_refinement_experiment(cfg)
     if not args.per_example:
         report.pop("per_example")

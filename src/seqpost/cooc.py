@@ -315,10 +315,7 @@ def build_stats(
     vn_pair = np.zeros((c_noun, c_verb))
 
     for seq in corpus:
-        violations = validate_sequence(seq, verb_vocab, noun_vocab)
-        if violations:
-            first = violations[0]
-            raise ValueError(f"episode {seq.episode_id!r}: {first.message}")
+        validate_sequence(seq, c_verb, c_noun)
         prev = None
         for action in seq.actions:
             verb_uni[action.verb_id] += 1

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ensemble import softmax
 from .rng import CounterRng
-from .vocab import ActionSequence, iter_jsonl, parse_actions
+from .vocab import ActionSequence, iter_jsonl, parse_actions, validate_sequence
 
 _LOG_FLOOR = 1e-12
 
@@ -203,15 +203,7 @@ def train(
                 f"episode {seq.episode_id!r}: sequence length {len(seq.actions)} "
                 f"!= decoder steps {dec.num_steps}"
             )
-        for action in seq.actions:
-            for axis, class_id, classes in (
-                ("verb", action.verb_id, c_verb), ("noun", action.noun_id, c_noun)
-            ):
-                if not 0 <= class_id < classes:
-                    raise ValueError(
-                        f"episode {seq.episode_id!r}: {axis}_id {class_id} out of range "
-                        f"[0, {classes}) of the decoder"
-                    )
+        validate_sequence(seq, c_verb, c_noun)
 
     dec = dec.copy()
     rng = CounterRng(cfg.rng_seed, stream=0x7E41)

@@ -8,11 +8,13 @@ row into a probability distribution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from .rng import libm_map
 from .vocab import iter_records, record_id
 
 
@@ -103,9 +105,10 @@ def combine_logits(a: LogitsTensor, b: LogitsTensor, w: EnsembleWeights) -> Logi
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over the last axis, of one row or of any stack."""
+    """Max-subtracted softmax over the last axis, of one row or of any stack.
+    ``exp`` is libm's, so the bits do not depend on numpy's SIMD level."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
+    exp = libm_map(math.exp, shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
 

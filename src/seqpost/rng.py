@@ -18,9 +18,10 @@ mod 2**64 exactly as the masked scalar code does).  :meth:`CounterRng.normals`
 uses that to draw ``n`` Gaussians at once, bit for bit equal to ``n``
 successive :meth:`CounterRng.gauss` calls: the integer work, ``sqrt`` and the
 multiplies are numpy (all correctly rounded), while ``log``, ``cos`` and
-``sin`` stay with the ``math`` module, mapped over Python floats, because
-numpy's SIMD transcendentals are not guaranteed to round like libm and do
-differ from it in the last bit on some inputs and hosts.
+``sin`` stay with the ``math`` module, mapped over Python floats by
+:func:`libm_map`, because numpy's SIMD transcendentals are not guaranteed to
+round like libm and do differ from it in the last bit on some inputs and hosts
+(its AVX-512 ``exp`` against its AVX2 one, for example).
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # The largest magnitude gauss and normals return: the Box-Muller radius at the
 # smallest draw u1 = 2**-53, times a cosine or sine of magnitude at most 1.
 NORMAL_BOUND = math.sqrt(-2.0 * math.log(2.0 ** -53))
+
+
+def libm_map(fn, values: np.ndarray) -> np.ndarray:
+    """``fn``, a ``math`` function, of each element of ``values``, in its shape:
+    the same bits whichever SIMD kernels numpy dispatches on this host."""
+    values = np.asarray(values)
+    return np.fromiter(map(fn, values.ravel().tolist()), np.float64, values.size).reshape(values.shape)
 
 
 def _finalize(x: int) -> int:
@@ -106,12 +114,11 @@ class CounterRng:
             u = (self._next_u64_block(2 * pairs) >> np.uint64(11)) * (1.0 / (1 << 53))
             u1, u2 = u[0::2], u[1::2]
             u1[u1 == 0.0] = 2.0 ** -53
-            logs = np.fromiter(map(math.log, u1.tolist()), np.float64, pairs)
-            radius = np.sqrt(-2.0 * logs)
-            theta = (2.0 * math.pi * u2).tolist()
+            radius = np.sqrt(-2.0 * libm_map(math.log, u1))
+            theta = 2.0 * math.pi * u2
             values = np.empty(2 * pairs)
-            values[0::2] = radius * np.fromiter(map(math.cos, theta), np.float64, pairs)
-            values[1::2] = radius * np.fromiter(map(math.sin, theta), np.float64, pairs)
+            values[0::2] = radius * libm_map(math.cos, theta)
+            values[1::2] = radius * libm_map(math.sin, theta)
             out[start:] = values[: n - start]
             if (n - start) % 2:
                 self._gauss_spare = float(values[-1])

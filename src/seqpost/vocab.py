@@ -107,35 +107,18 @@ class ActionSequence:
         )
 
 
-@dataclass(frozen=True)
-class Violation:
-    position: int  # -1 for sequence-level problems
-    axis: str  # "verb" | "noun" | "sequence"
-    message: str
-
-
-def validate_sequence(
-    seq: ActionSequence, verb_vocab: Vocabulary, noun_vocab: Vocabulary
-) -> list[Violation]:
-    """Check every action id against its vocabulary.
-
-    Returns an empty list when the sequence is valid; violations are data,
-    not exceptions.
-    """
-    violations: list[Violation] = []
-    if len(seq.actions) == 0:
-        violations.append(Violation(-1, "sequence", "empty sequence"))
-        return violations
-    for pos, action in enumerate(seq.actions):
-        if not (0 <= action.verb_id < len(verb_vocab)):
-            violations.append(
-                Violation(pos, "verb", f"verb_id {action.verb_id} out of range [0, {len(verb_vocab)})")
-            )
-        if not (0 <= action.noun_id < len(noun_vocab)):
-            violations.append(
-                Violation(pos, "noun", f"noun_id {action.noun_id} out of range [0, {len(noun_vocab)})")
-            )
-    return violations
+def validate_sequence(seq: ActionSequence, c_verb: int, c_noun: int) -> None:
+    """Raise ValueError at the first fault of ``seq``: an empty sequence, or a
+    class id outside [0, C) of its axis, in step order and verb before noun."""
+    if not seq.actions:
+        raise ValueError(f"episode {seq.episode_id!r}: empty sequence")
+    for action in seq.actions:
+        for axis, class_id, classes in (
+            ("verb", action.verb_id, c_verb), ("noun", action.noun_id, c_noun)
+        ):
+            if not 0 <= class_id < classes:
+                raise ValueError(f"episode {seq.episode_id!r}: {axis}_id {class_id} "
+                                 f"out of range [0, {classes})")
 
 
 def load_corpus(path: str) -> list[ActionSequence]:

@@ -621,8 +621,23 @@ def test_train_class_id_outside_decoder_is_one_error_line(workspace, capsys, act
     ]
     assert _train_cmd(workspace, rows, ["--c-verb", "3", "--c-noun", "2"]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: episode 'line2': {message} of the decoder\n"
+    assert err == f"error: episode 'line2': {message}\n"
     assert not (workspace / "ckpt.json").exists()
+
+
+def test_stats_and_train_report_the_same_first_fault(workspace, capsys):
+    # a bad noun id at step 0 and a bad verb id at step 1: both commands stop at the noun
+    actions = [[0, 9], [9, 0]]
+    corpus = workspace / "bad.jsonl"
+    corpus.write_text(json.dumps({"episode_id": "line1", "actions": actions}) + "\n")
+    assert main(["stats", "--quiet", "--train", str(corpus), "--out", str(workspace / "unused.json"),
+                 "--verb-vocab", str(workspace / "vocab.verb.json"),
+                 "--noun-vocab", str(workspace / "vocab.noun.json")]) == 1
+    stats_err = capsys.readouterr().err
+    assert _train_cmd(workspace, [{"features": [1.0], "actions": actions}],
+                      ["--c-verb", "4", "--c-noun", "4"]) == 1
+    assert capsys.readouterr().err == stats_err == "error: episode 'line1': noun_id 9 out of range [0, 4)\n"
+    assert not (workspace / "unused.json").exists() and not (workspace / "ckpt.json").exists()
 
 
 @pytest.mark.parametrize("add_k", ["inf", "nan"])
@@ -634,8 +649,8 @@ def test_stats_non_finite_add_k_is_one_error_line(workspace, capsys, add_k):
 
 
 @pytest.mark.parametrize("actions, extra, message", [
-    ([[-3, 0], [-2, 0]], [], "episode 'line1': verb_id -3 out of range [0, 1) of the decoder"),
-    ([[0, -4], [0, -2]], [], "episode 'line1': noun_id -4 out of range [0, 1) of the decoder"),
+    ([[-3, 0], [-2, 0]], [], "episode 'line1': verb_id -3 out of range [0, 1)"),
+    ([[0, -4], [0, -2]], [], "episode 'line1': noun_id -4 out of range [0, 1)"),
     ([[0, 0], [1, 0]], ["--c-verb", "-5"], "--c-verb must be >= 1, got -5"),
     ([[0, 0], [1, 0]], ["--c-noun", "0"], "--c-noun must be >= 1, got 0"),
 ], ids=["negative_verb_ids_inferred", "negative_noun_ids_inferred", "negative_c_verb", "zero_c_noun"])
@@ -841,9 +856,9 @@ def test_sweep_writes_no_manifest(manifest_workspace):
 
 
 @pytest.mark.parametrize("smooth, digest, line", [
-    ("off", "61c1dac03041aa8c6495870a2f0e99030d2ab11c481fe37939cd6ad68a28fa47",
+    ("off", "dc0d5fa1db01618bb21da3fdfdd8e4976898ce07ce0fbc5c991d610613c6e0e7",
      "loss 11.0258 -> 4.7843"),
-    ("on", "a610b85930a61c71d5e0276e588ba4a22bd484e4e68ad0b00cc299dbeadf8185",
+    ("on", "6b249936f30f65b1bc3b2cbb991c46763c3831c70396cd807e2505adaa59d6ea",
      "loss 10.7666 -> 7.5192"),
 ], ids=["off", "on"])
 def test_train_checkpoint_bytes_and_loss_line_pinned(tmp_path, capsys, smooth, digest, line):
@@ -1169,6 +1184,18 @@ def test_synth_config_whose_logits_can_overflow_is_one_error_line_and_no_file(tm
     assert (done.returncode, done.stderr) == (
         1, f"error: {config}: bad synth config file: the corrupted logits can overflow: "
            "logit_scale + logit_noise_sigma * 8.571674348652905 must be finite\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_synth_experiment_of_one_sequence_is_one_error_line_and_no_file(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"num_sequences": 1}))
+    done = _seqpost_subprocess("synth", "experiment", "--config", str(config),
+                               "--out", str(tmp_path / "r.json"))
+    assert (done.returncode, done.stderr) == (
+        1, f"error: {config}: bad synth config file: num_sequences must be >= 2: "
+           "even-index episodes build the statistics and odd-index ones are evaluated\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 

@@ -11,7 +11,6 @@ from seqpost.synth import (
     SynthConfig,
     corrupt_to_logits_sized,
     gen_markov_corpus,
-    make_vocabularies,
     planted_tables,
     run_refinement_experiment,
     sharpness_for_mass,
@@ -43,9 +42,8 @@ def test_same_seed_identical_corpora():
 def test_corpora_validate():
     cfg = SynthConfig(c_verb=3, c_noun=5, num_sequences=30, seq_len=6, rng_seed=1)
     corpus = gen_markov_corpus(cfg)
-    vv, nv = make_vocabularies(cfg)
     for seq in corpus:
-        assert validate_sequence(seq, vv, nv) == []
+        validate_sequence(seq, cfg.c_verb, cfg.c_noun)
 
 
 def test_sharp_transitions_dominate_bigrams():

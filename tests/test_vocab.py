@@ -40,27 +40,31 @@ def test_sequence_roundtrip():
 def test_validate_ok(vocabs):
     vv, nv = vocabs
     seq = ActionSequence("e", (Action(0, 0), Action(1, 2)))
-    assert validate_sequence(seq, vv, nv) == []
+    assert validate_sequence(seq, len(vv), len(nv)) is None
 
 
 def test_validate_out_of_range_verb(vocabs):
     vv, nv = vocabs
     seq = ActionSequence("e", (Action(2, 0),))
-    violations = validate_sequence(seq, vv, nv)
-    assert len(violations) == 1
-    assert violations[0].position == 0
-    assert violations[0].axis == "verb"
+    with pytest.raises(ValueError) as exc:
+        validate_sequence(seq, len(vv), len(nv))
+    assert str(exc.value) == "episode 'e': verb_id 2 out of range [0, 2)"
 
 
 def test_validate_empty_sequence(vocabs):
     vv, nv = vocabs
-    violations = validate_sequence(ActionSequence("e", ()), vv, nv)
-    assert len(violations) == 1
-    assert "empty sequence" in violations[0].message
+    with pytest.raises(ValueError) as exc:
+        validate_sequence(ActionSequence("e", ()), len(vv), len(nv))
+    assert str(exc.value) == "episode 'e': empty sequence"
 
 
-def test_validate_reports_every_position(vocabs):
+def test_validate_raises_the_first_fault_in_step_order(vocabs):
     vv, nv = vocabs
-    seq = ActionSequence("e", (Action(0, 9), Action(5, 0)))
-    violations = validate_sequence(seq, vv, nv)
-    assert {(v.position, v.axis) for v in violations} == {(0, "noun"), (1, "verb")}
+    cases = [
+        ((Action(0, 9), Action(5, 0)), "noun_id 9 out of range [0, 3)"),  # step 0 before step 1
+        ((Action(0, 0), Action(-1, 9)), "verb_id -1 out of range [0, 2)"),  # verb before noun
+    ]
+    for actions, message in cases:
+        with pytest.raises(ValueError) as exc:
+            validate_sequence(ActionSequence("e", actions), len(vv), len(nv))
+        assert str(exc.value) == f"episode 'e': {message}"
