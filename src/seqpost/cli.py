@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterator
 
@@ -346,10 +347,10 @@ def cmd_synth_gen(args) -> tuple[list[str], dict, int]:
 
 def cmd_synth_experiment(args) -> tuple[list[str], dict, int]:
     cfg, raw = _load_synth_config(args.config, args.seed)
-    if cfg.num_sequences < 2:
-        raise ValueError(f"{args.config}: bad synth config file: num_sequences must be >= 2: "
-                         "even-index episodes build the statistics and odd-index ones are evaluated")
-    report = run_refinement_experiment(cfg)
+    try:
+        report = run_refinement_experiment(cfg)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: bad synth config file: {exc}") from exc
     if not args.per_example:
         report.pop("per_example")
     with open(args.out, "w") as handle:
@@ -464,6 +465,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a missing directory fails before the command writes anything
+        for path in (value for value in vars(args).values() if isinstance(value, OutPath)):
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"{path}: no such directory: {os.path.dirname(path)}")
         result = args.func(args)
         outputs, file_config, seed = (
             result if isinstance(result, tuple) else (result, {}, getattr(args, "seed", None))

@@ -150,19 +150,19 @@ def _table_json(table: np.ndarray) -> Iterator[str]:
     spellings."""
     bits = np.ascontiguousarray(table, dtype=np.float64).view(np.uint64)
     distinct = np.unique(bits)
-    texts = list(map(repr, distinct.view(np.float64).tolist()))
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     # each entry's index into ``distinct``, in the table's shape; np.unique's
     # return_inverse gives the same but holds several table-sized temporaries
     inverse = distinct.searchsorted(bits)
     if table.ndim == 1:
         yield "["
-        yield ", ".join(map(texts.__getitem__, inverse.tolist()))
+        yield ", ".join(texts[inverse].tolist())
         yield "]"
         return
     yield "["
     for i, row in enumerate(inverse):
         yield ", [" if i else "["
-        yield ", ".join(map(texts.__getitem__, row.tolist()))
+        yield ", ".join(texts[row].tolist())
         yield "]"
     yield "]"
 
@@ -314,17 +314,19 @@ def build_stats(
     noun_bi = np.zeros((c_noun, c_noun))
     vn_pair = np.zeros((c_noun, c_verb))
 
+    pairs, starts = [], []
     for seq in corpus:
         validate_sequence(seq, c_verb, c_noun)
-        prev = None
-        for action in seq.actions:
-            verb_uni[action.verb_id] += 1
-            noun_uni[action.noun_id] += 1
-            vn_pair[action.noun_id, action.verb_id] += 1
-            if prev is not None:
-                verb_bi[prev.verb_id, action.verb_id] += 1
-                noun_bi[prev.noun_id, action.noun_id] += 1
-            prev = action
+        starts.append(len(pairs))
+        pairs.extend((action.verb_id, action.noun_id) for action in seq.actions)
+    verbs, nouns = np.array(pairs, dtype=np.intp).T
+    # every position but a sequence's first ends a bigram
+    later = np.delete(np.arange(len(pairs)), starts)
+    np.add.at(verb_uni, verbs, 1.0)
+    np.add.at(noun_uni, nouns, 1.0)
+    np.add.at(vn_pair, (nouns, verbs), 1.0)
+    np.add.at(verb_bi, (verbs[later - 1], verbs[later]), 1.0)
+    np.add.at(noun_bi, (nouns[later - 1], nouns[later]), 1.0)
 
     verb_marginal = (verb_uni + cfg.add_k) / (verb_uni.sum() + cfg.add_k * c_verb)
     noun_marginal = (noun_uni + cfg.add_k) / (noun_uni.sum() + cfg.add_k * c_noun)

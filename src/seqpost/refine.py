@@ -104,12 +104,14 @@ def _reweight(
 ) -> tuple[np.ndarray, bool]:
     """probs * ReLU(scores of prev) [* weight], renormalised; (probs, True)
     when no mass survives."""
-    raw = probs * np.maximum(transition_score_row(stats, prev, axis, mode), 0.0)
+    raw = np.maximum(transition_score_row(stats, prev, axis, mode), 0.0)
+    raw *= probs
     if weight is not None:
         raw *= weight
     total = raw.sum()
     if total > 0.0:
-        return raw / total, False
+        raw /= total
+        return raw, False
     return probs, True
 
 

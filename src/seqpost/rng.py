@@ -131,15 +131,16 @@ class CounterRng:
             items[i], items[j] = items[j], items[i]
 
     def choice_from_cdf(self, probs) -> int:
-        """Inverse-CDF draw over class index order (lowest index on ties)."""
+        """Inverse-CDF draw over class index order (lowest index on ties).
+        ``probs`` must be finite weights >= 0, so that their running totals,
+        summed left to right, never fall: the first class whose total
+        exceeds the draw is then one binary search away."""
         u = self.uniform()
-        # Python floats: iterating an ndarray would box one numpy scalar per entry
-        probs = probs.tolist() if isinstance(probs, np.ndarray) else list(probs)
-        total = 0.0
-        for i, p in enumerate(probs):
-            total += p
-            if u < total:
-                return i
+        probs = np.asarray(probs, dtype=np.float64)
+        i = int(np.add.accumulate(probs).searchsorted(u, "right"))
+        if i < probs.size:
+            return i
         # the float CDF summed short of u: take the last class with positive
         # mass, never a zero-mass one
-        return max((i for i, p in enumerate(probs) if p > 0), default=0)
+        positive = np.flatnonzero(probs > 0)
+        return int(positive[-1]) if positive.size else 0

@@ -162,6 +162,9 @@ def run_refinement_experiment(cfg: SynthConfig) -> dict:
     evaluated.  Returns mean ED triples for the raw pattern alone and for the
     full K-pattern set, plus the deltas (positive delta = refinement helped).
     """
+    if cfg.num_sequences < 2:
+        raise ValueError("num_sequences must be >= 2: even-index episodes build the "
+                         "statistics and odd-index ones are evaluated")
     corpus = gen_markov_corpus(cfg)
     verb_vocab, noun_vocab = make_vocabularies(cfg)
     train_split = [s for i, s in enumerate(corpus) if i % 2 == 0]

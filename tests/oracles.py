@@ -89,6 +89,20 @@ def count_stats(corpus, c_verb, c_noun):
     return verb_uni, noun_uni, verb_bi, noun_bi, vn
 
 
+def choice_from_cdf_walk(rng, probs):
+    """``CounterRng.choice_from_cdf`` as a walk over the classes with a
+    running float total: the first class whose total exceeds one uniform
+    draw, else the last class with positive mass, else 0."""
+    u = rng.uniform()
+    probs = [float(p) for p in probs]
+    total = 0.0
+    for i, p in enumerate(probs):
+        total += p
+        if u < total:
+            return i
+    return max((i for i, p in enumerate(probs) if p > 0), default=0)
+
+
 def corrupt_logits_loop(actions, sigma, scale, seed, c_verb, c_noun, stream=0):
     """(verb, noun) logits of ``synth.corrupt_to_logits_sized`` by a triple
     loop: one scalar ``CounterRng.gauss()`` per entry, all verb entries

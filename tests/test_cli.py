@@ -1200,6 +1200,21 @@ def test_synth_experiment_of_one_sequence_is_one_error_line_and_no_file(tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+@pytest.mark.parametrize("late_output", [
+    ["--out-logits", "l.jsonl", "--out-vocab-prefix", "nodir/v"],
+    ["--manifest", "nodir/m.json"],
+])
+def test_missing_output_directory_is_one_error_line_and_no_file(tmp_path, monkeypatch, capsys,
+                                                                 late_output):
+    # the missing directory is named before the corpus, the first output, is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps({"num_sequences": 3, "seq_len": 3}))
+    code = main(["synth", "gen", "--config", "s.json", "--out-corpus", "c.jsonl", *late_output])
+    path = late_output[-1]
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {path}: no such directory: nodir\n"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
 @pytest.mark.parametrize("command", ["refine", "ensemble"])
 @pytest.mark.parametrize("axis", ["verb", "noun"])
 def test_logits_record_without_classes_is_one_error_line(workspace, capsys, command, axis):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqpost.cooc
@@ -117,6 +117,42 @@ def test_bigrams_do_not_cross_episodes():
     # no (0 -> 1) or (1 -> 0) verb bigram exists
     assert stats.verb_transition[0][1] == 0.0
     assert stats.verb_transition[1][0] == 0.0
+
+
+def _tables_from_counts(counts, add_k):
+    """The five stats tables from ``oracles.count_stats`` counts: marginals
+    and add-k smoothed rows, a row no count reaches being uniform."""
+    verb_uni, noun_uni, verb_bi, noun_bi, vn = (np.array(c, dtype=np.float64) for c in counts)
+
+    def rows(table):
+        table = table + add_k
+        totals = table.sum(axis=1, keepdims=True)
+        return np.where(totals > 0, table / np.where(totals > 0, totals, 1.0), 1.0 / table.shape[1])
+
+    def marginal(uni):
+        return (uni + add_k) / (uni.sum() + add_k * uni.size)
+
+    return (marginal(verb_uni), marginal(noun_uni), rows(verb_bi), rows(noun_bi), rows(vn))
+
+
+# a sequence is a list of (verb_id, noun_id) pairs; ids below c_verb, c_noun = 3, 4
+CORPORA = st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=6),
+                   min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CORPORA, st.sampled_from([0.0, 0.5, 1.0]))
+# one-action sequences, the last of them too; (1, 2) -> (2, 0) would cross
+# a boundary, and with add_k 0 verb 2 and nouns 0 and 3 never open a bigram
+@example([[(0, 1), (1, 2)], [(2, 0)], [(1, 1), (0, 0)], [(2, 2)]], 0.0)
+@example([[(2, 3)]], 0.0)
+def test_build_stats_equals_the_count_oracle(pairs, add_k):
+    corpus = [ActionSequence(f"e{i}", tuple(Action(*p) for p in seq)) for i, seq in enumerate(pairs)]
+    stats = _stats_for(corpus, c_verb=3, c_noun=4, add_k=add_k)
+    expected = _tables_from_counts(count_stats(corpus, 3, 4), add_k)
+    for name, table in zip(TABLES, expected):
+        assert getattr(stats, name).tobytes() == table.tobytes(), name
+    assert stats.to_json() == stats_json_dumps(stats)
 
 
 def test_transition_score_against_raw_count_oracle():

@@ -25,11 +25,13 @@ _CHILD = ("import json, sys; from seqpost.cli import main; "
 
 
 def _outputs(root: Path, disabled: str) -> dict[str, bytes]:
-    """The bytes of every file a small train run and a small
+    """The bytes of every file a small train run and a small 40 x 130
     synth gen -> stats -> refine run write, manifests aside."""
     root.mkdir()
     (root / "train.jsonl").write_text("".join(json.dumps(row) + "\n" for row in pinned_train_rows()))
-    (root / "synth.json").write_text(json.dumps({"c_verb": 6, "c_noun": 8, "num_sequences": 20,
+    # 40 and 130 classes: the draws, counts and score rows run over rows wider
+    # than a SIMD vector, so numpy's vector loops, not only their tails, are used
+    (root / "synth.json").write_text(json.dumps({"c_verb": 40, "c_noun": 130, "num_sequences": 20,
                                                  "seq_len": 6, "rng_seed": 3}))
     argvs = [
         ["train", "--data", "train.jsonl", "--smooth", "on", "--seed", "2", "--lr", "0.4",

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqpost.rng import NORMAL_BOUND, CounterRng
+
+from oracles import choice_from_cdf_walk
 
 
 def test_known_values_frozen():
@@ -139,25 +142,69 @@ def test_normals_keep_the_zero_uniform_nudge():
     assert values.tobytes() == expected.tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 2**32),
-    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
-    st.booleans(),
-)
-def test_choice_from_cdf_on_an_array_equals_a_numpy_scalar_walk(seed, weights, normalise):
-    row = np.array(weights)
+# 1 - 2**-53, the largest uniform draw: a float CDF that sums short of 1 ends below it
+LARGEST_UNIFORM = 1.0 - 2.0 ** -53
+
+
+def _row(head, width, weight_seed, zero_tail, normalise):
+    """``head``, then ``width`` random weights of which about a third are
+    zero, then ``zero_tail`` zeros; scaled to sum to 1 if ``normalise``."""
+    wide = np.random.default_rng(weight_seed).random(width)
+    wide[wide < 1 / 3] = 0.0
+    row = np.concatenate([head, wide, np.zeros(zero_tail)])
     if normalise and row.sum() > 0:
         row = row / row.sum()
-    u = CounterRng(seed).uniform()
-    total = 0.0
-    for expected, p in enumerate(row):  # numpy float64 scalars
-        total += p
-        if u < total:
-            break
-    else:
-        expected = max((i for i, p in enumerate(row) if p > 0), default=0)
-    assert CounterRng(seed).choice_from_cdf(row) == expected
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.lists(st.floats(0.0, 1.0), max_size=40),
+    st.integers(0, 560),
+    st.integers(0, 2**32),
+    st.integers(0, 30),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["seeded", "zero", "largest", "a_running_total"]),
+)
+def test_choice_from_cdf_on_an_array_equals_a_numpy_scalar_walk(seed, head, width, weight_seed,
+                                                                zero_tail, normalise, as_list, draw):
+    """An array or a list row; the draw seeded, or forced to 0, to the largest
+    uniform, or onto the running total at the row's middle class."""
+    row = _row(head, width, weight_seed, zero_tail, normalise)
+    probs = row.tolist() if as_list else row
+    fast, walk = CounterRng(seed), CounterRng(seed)
+    if draw != "seeded":
+        u = {"zero": 0.0, "largest": LARGEST_UNIFORM,
+             "a_running_total": sum(row[: row.size // 2 + 1].tolist())}[draw]
+        fast.uniform = walk.uniform = lambda: u
+    expected = choice_from_cdf_walk(walk, row)
+    assert fast.choice_from_cdf(probs) == expected
+    assert fast.uniform() == walk.uniform()
+    if row.any():
+        assert row[expected] > 0
+
+
+@pytest.mark.parametrize("width", [0, 1, 8, 600])
+@pytest.mark.parametrize("as_list", [False, True])
+def test_choice_from_cdf_of_an_all_zero_row_is_zero(width, as_list):
+    row = [0.0] * width if as_list else np.zeros(width)
+    assert CounterRng(0).choice_from_cdf(row) == 0
+    rng = CounterRng(0)
+    rng.uniform = lambda: LARGEST_UNIFORM
+    assert rng.choice_from_cdf(row) == 0
+
+
+def test_choice_from_cdf_overshoot_on_a_wide_row_takes_the_last_positive_class():
+    # 590 equal weights sum short of 1, so the largest draw passes every
+    # class; the zero-mass tail must not be picked
+    row = np.full(600, 1 / 590)
+    row[590:] = 0.0
+    assert np.add.accumulate(row)[-1] <= LARGEST_UNIFORM
+    rng = CounterRng(0)
+    rng.uniform = lambda: LARGEST_UNIFORM
+    assert rng.choice_from_cdf(row) == 589 == choice_from_cdf_walk(rng, row)
 
 
 def test_normal_bound_is_the_largest_draw(monkeypatch):

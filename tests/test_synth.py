@@ -137,6 +137,13 @@ def test_experiment_reproducible():
     assert run_refinement_experiment(cfg) == run_refinement_experiment(cfg)
 
 
+def test_experiment_of_one_sequence_names_the_setting():
+    # one episode leaves nothing to evaluate once the even-index ones build the statistics
+    with pytest.raises(ValueError, match=r"^num_sequences must be >= 2: even-index episodes build "
+                                         r"the statistics and odd-index ones are evaluated$"):
+        run_refinement_experiment(SynthConfig(num_sequences=1))
+
+
 def test_experiment_reads_num_patterns_and_mode_from_its_config():
     base = dict(c_verb=4, c_noun=5, num_sequences=40, seq_len=8, transition_sharpness=5.0,
                 verb_noun_coupling=0.7, rng_seed=2)
