@@ -10,6 +10,7 @@ the seed, so any published number is reproducible from the files alone.
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import hashlib
 import itertools
@@ -18,23 +19,31 @@ import os
 import sys
 from collections.abc import Iterator
 
+import numpy as np
+
 from . import __version__
 from .cooc import CoocStats, IndicatorMode, SmoothingConfig, build_stats
 from .decoder import MultiHeadDecoder, TrainConfig, load_train_dataset, train
 from .ensemble import (
     EnsembleWeights,
     LogitsTensor,
+    check_pair,
     combine_logits,
     dump_logits,
     iter_logits,
     load_logits,
+    softmax,
     softmax_rows,
+    weighted_sum,
 )
 from .metric import evaluate_corpus
 # load_predictions is not called here, but perfbench/tracing.py wraps it by
 # this name in this module, so it stays imported.
 from .refine import (  # noqa: F401
+    TIER_RAW_ARGMAX,
     PredictionConfig,
+    PredictionSet,
+    argmax_actions,
     dump_predictions,
     generate_patterns,
     iter_predictions,
@@ -176,24 +185,35 @@ def _logits_pairs(path_a: str, path_b: str) -> Iterator[tuple[LogitsTensor, Logi
 
 def _sweep(args) -> None:
     """Grid search over (alpha, beta) scored by raw-argmax action ED; writes no
-    file. Every weight pair scores the whole dev split, so it is read whole."""
+    file. Every weight pair scores the whole dev split, so it is read whole,
+    each example pair is checked once and each axis's rows are stacked: a
+    weight pair is then one weighted sum, one softmax and one argmax per axis
+    over the stack, split back into one raw pattern per example."""
     a_list = load_logits(args.logits_a)
     b_list = load_logits(args.logits_b)
     if len(a_list) != len(b_list):
         raise ValueError(f"logits files differ in length: {len(a_list)} vs {len(b_list)}")
     truths = load_corpus(args.truth)
+    ids, ends, (a_verb, a_noun), (b_verb, b_noun) = _stack_pairs(args.logits_a, a_list, b_list)
+    del a_list, b_list  # only the stacks are used from here on
+    starts = [0, *ends[:-1]]
     grid = [round(0.1 * i, 1) for i in range(0, 21)]
-    raw_cfg = PredictionConfig(num_patterns=1)
     best = None
     for alpha in grid:
         for beta in grid:
             if alpha == 0.0 and beta == 0.0:
                 continue
             weights = EnsembleWeights(alpha=alpha, beta=beta)
-            preds = [
-                generate_patterns(softmax_rows(combine_logits(a, b, weights)), None, raw_cfg)
-                for a, b in zip(a_list, b_list)
-            ]
+            verb = weighted_sum(a_verb, b_verb, weights)
+            noun = weighted_sum(a_noun, b_noun, weights)
+            if not (np.isfinite(verb).all() and np.isfinite(noun).all()):
+                finite_rows = np.isfinite(verb).all(axis=1) & np.isfinite(noun).all(axis=1)
+                example_id = ids[bisect.bisect_right(ends, int(finite_rows.argmin()))]
+                raise ValueError(f"example {example_id!r}: weighted logits must be finite "
+                                 f"(alpha={alpha}, beta={beta})")
+            actions = argmax_actions(softmax(verb), softmax(noun))
+            preds = [PredictionSet(example_id, (tuple(actions[start:end]),), (TIER_RAW_ARGMAX,))
+                     for example_id, start, end in zip(ids, starts, ends)]
             report = evaluate_corpus(preds, truths)
             key = (report.ed_action, report.ed_verb, report.ed_noun)
             if best is None or key < best[0]:
@@ -201,6 +221,29 @@ def _sweep(args) -> None:
     _, alpha, beta = best
     _say(args, f"best weights by action ED: alpha={alpha} beta={beta} (ed_action={best[0][0]:.4f})")
     print(json.dumps({"alpha": alpha, "beta": beta, "ed_action": best[0][0]}))
+
+
+def _stack_pairs(path_a: str, a_list: list[LogitsTensor], b_list: list[LogitsTensor]):
+    """(example ids, each example's end row, a's (verb, noun) rows, b's (verb,
+    noun) rows), the rows stacked in file order. Each pair must pass
+    ``check_pair``, and each example must have the first one's class counts."""
+    if not a_list:
+        raise ValueError(f"{path_a}: the dev split has no examples")
+    first = a_list[0]
+    first_classes = (first.verb_logits.shape[1], first.noun_logits.shape[1])
+    for a, b in zip(a_list, b_list):
+        check_pair(a, b)
+        classes = (a.verb_logits.shape[1], a.noun_logits.shape[1])
+        if classes != first_classes:
+            raise ValueError(
+                f"{path_a}: example {a.example_id!r} has {classes[0]} verb and {classes[1]} noun "
+                f"classes, the first example {first.example_id!r} has {first_classes[0]} and "
+                f"{first_classes[1]}"
+            )
+    ends = list(itertools.accumulate(a.num_steps for a in a_list))
+    stacks = [(np.concatenate([t.verb_logits for t in tensors]),
+               np.concatenate([t.noun_logits for t in tensors])) for tensors in (a_list, b_list)]
+    return [a.example_id for a in a_list], ends, *stacks
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,23 @@
 Two models sharing the same vocabularies are combined in logit space by a
 weighted sum, then a single numerically-stable softmax turns each per-step
 row into a probability distribution.
+
+The softmax's ``exp`` is this module's own kernel, a fixed sequence of numpy
+``maximum``/``multiply``/``add``/``subtract``/``divide``/``rint``/``ldexp``
+calls. Each of those is one correctly rounded IEEE operation in a ufunc of its
+own, so no step can be fused or reassociated: the probabilities, and the
+decoder's checkpoints, carry the same bits whichever SIMD kernels numpy
+dispatches and whichever C library the host has.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .rng import libm_map
 from .vocab import iter_records, record_id
 
 
@@ -57,9 +62,20 @@ class LogitsTensor:
     def from_obj(cls, obj: dict) -> "LogitsTensor":
         return cls(
             example_id=record_id(obj, "example_id"),
-            verb_logits=np.array(obj["verb_logits"], dtype=np.float64),
-            noun_logits=np.array(obj["noun_logits"], dtype=np.float64),
+            verb_logits=_numbers(obj, "verb_logits"),
+            noun_logits=_numbers(obj, "noun_logits"),
         )
+
+
+def _numbers(obj: dict, key: str) -> np.ndarray:
+    """``obj[key]`` as an array of JSON numbers. It is built without a dtype,
+    so a string (``"1.5"``), a row of booleans or a null is refused rather
+    than converted, as is an integer literal too large for 64 bits; a boolean
+    among numbers still converts to 0 or 1."""
+    values = np.array(obj[key])
+    if values.dtype.kind not in "fi":
+        raise ValueError(f"{key} must be JSON numbers")
+    return values
 
 
 @dataclass(frozen=True)
@@ -83,9 +99,9 @@ class StepDistributions:
         return self.verb_probs.shape[0]
 
 
-def combine_logits(a: LogitsTensor, b: LogitsTensor, w: EnsembleWeights) -> LogitsTensor:
-    """Elementwise alpha * a + beta * b on both axes; a sum that overflows is
-    a ValueError naming the example."""
+def check_pair(a: LogitsTensor, b: LogitsTensor) -> None:
+    """A ValueError unless ``a`` and ``b`` are one example's logits of the
+    same shapes, so that they can be combined."""
     if a.example_id != b.example_id:
         raise ValueError(f"example_id mismatch: {a.example_id!r} vs {b.example_id!r}")
     if a.verb_logits.shape != b.verb_logits.shape or a.noun_logits.shape != b.noun_logits.shape:
@@ -94,9 +110,21 @@ def combine_logits(a: LogitsTensor, b: LogitsTensor, w: EnsembleWeights) -> Logi
             f"a=(verb {a.verb_logits.shape}, noun {a.noun_logits.shape}) vs "
             f"b=(verb {b.verb_logits.shape}, noun {b.noun_logits.shape})"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned of
-        verb = w.alpha * a.verb_logits + w.beta * b.verb_logits
-        noun = w.alpha * a.noun_logits + w.beta * b.noun_logits
+
+
+def weighted_sum(a: np.ndarray, b: np.ndarray, w: EnsembleWeights) -> np.ndarray:
+    """alpha * a + beta * b, elementwise; an overflow gives inf or NaN, not a
+    numpy warning, for the caller to report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return w.alpha * a + w.beta * b
+
+
+def combine_logits(a: LogitsTensor, b: LogitsTensor, w: EnsembleWeights) -> LogitsTensor:
+    """Elementwise alpha * a + beta * b on both axes; a sum that overflows is
+    a ValueError naming the example."""
+    check_pair(a, b)
+    verb = weighted_sum(a.verb_logits, b.verb_logits, w)
+    noun = weighted_sum(a.noun_logits, b.noun_logits, w)
     try:
         return LogitsTensor(example_id=a.example_id, verb_logits=verb, noun_logits=noun)
     except ValueError as exc:
@@ -104,12 +132,59 @@ def combine_logits(a: LogitsTensor, b: LogitsTensor, w: EnsembleWeights) -> Logi
                          f"(alpha={w.alpha}, beta={w.beta})") from exc
 
 
+# fdlibm's e_exp.c: ln 2 split so that k * _LN2_HI is exact for |k| < 2**11,
+# 1 / ln 2, and the Remez coefficients of its polynomial on [-ln2/2, ln2/2].
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.44269504088896338700e+00
+_P5, _P4, _P3, _P2, _P1 = (4.13813679705723846039e-08, -1.65339022054652515390e-06,
+                           6.61375632143793436117e-05, -2.77777777770155933842e-03,
+                           1.66666666666666019037e-01)
+# exp(x) rounds to +0.0 below -745.1332...; clamping there keeps k finite
+_EXP_FLOOR = -746.0
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``exp`` of a float64 array whose entries are <= 0, -inf or NaN, within
+    1 ulp; -inf and anything below -745.14 give +0.0, NaN gives NaN, and no
+    numpy warning is raised. ``x`` itself is left as it was.
+
+    fdlibm's ``e_exp.c`` (after Tang 1989), one ufunc per rounded operation:
+    with k = rint(x / ln2), hi = x - k*ln2_hi, lo = k*ln2_lo and r = hi - lo,
+    c = r - r²(P1 + r²(P2 + … + r²P5)) and exp(x) = 2^k (1 - ((lo - rc/(2 - c)) - hi)).
+    Every step writes into one of five float buffers of ``x``'s shape."""
+    r = np.maximum(x, _EXP_FLOOR)  # -inf -> the floor; NaN stays NaN
+    k = np.multiply(r, _INV_LN2)
+    np.rint(k, out=k)
+    # the exponent as an integer; k >= -1076, so this fmax only turns a NaN k,
+    # whose result is NaN whatever its exponent, into one that casts cleanly
+    k_int = np.fmax(k, -2048.0, out=np.empty(k.shape, np.int32), casting="unsafe")
+    hi = np.multiply(k, _LN2_HI)
+    np.subtract(r, hi, out=hi)
+    lo = np.multiply(k, _LN2_LO, out=k)
+    np.subtract(hi, lo, out=r)
+    t = np.multiply(r, r)
+    c = np.multiply(t, _P5)
+    for coefficient in (_P4, _P3, _P2, _P1):
+        np.add(c, coefficient, out=c)
+        np.multiply(c, t, out=c)
+    np.subtract(r, c, out=c)
+    y = np.multiply(r, c, out=t)
+    np.subtract(2.0, c, out=c)
+    np.divide(y, c, out=y)
+    np.subtract(lo, y, out=y)
+    np.subtract(y, hi, out=y)
+    np.subtract(1.0, y, out=y)
+    return np.ldexp(y, k_int, out=y)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax over the last axis, of one row or of any stack.
-    ``exp`` is libm's, so the bits do not depend on numpy's SIMD level."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = libm_map(math.exp, shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    Its ``exp`` is ``_exp``, so the bits depend neither on numpy's SIMD level
+    nor on the C library."""
+    exp = _exp(logits - logits.max(axis=-1, keepdims=True))
+    exp /= exp.sum(axis=-1, keepdims=True)
+    return exp
 
 
 def softmax_rows(logits: LogitsTensor) -> StepDistributions:

@@ -32,6 +32,7 @@ from .vocab import Action, iter_records, parse_actions, record_id
 TIER_RAW_ARGMAX = "raw_argmax"
 TIER_REFINED_ARGMAX = "refined_argmax"
 TIER_REFINED_SAMPLED = "refined_sampled"
+TIERS = (TIER_RAW_ARGMAX, TIER_REFINED_ARGMAX, TIER_REFINED_SAMPLED)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -64,11 +65,16 @@ class PredictionSet:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PredictionSet":
-        return cls(
-            example_id=record_id(obj, "example_id"),
-            patterns=tuple(parse_actions(pattern) for pattern in obj["patterns"]),
-            tiers=tuple(obj["tiers"]),
-        )
+        """The record's prediction set; ``tiers`` must name one known tier
+        for each pattern."""
+        example_id = record_id(obj, "example_id")
+        patterns = tuple(parse_actions(pattern) for pattern in obj["patterns"])
+        tiers = obj["tiers"]
+        if not (isinstance(tiers, list) and len(tiers) == len(patterns)
+                and all(tier in TIERS for tier in tiers)):
+            raise ValueError(f"tiers {tiers!r} must be {len(patterns)} tier name(s), one per "
+                             f"pattern, each one of {', '.join(TIERS)}")
+        return cls(example_id=example_id, patterns=patterns, tiers=tuple(tiers))
 
 
 def refine_noun_step(
@@ -113,6 +119,12 @@ def _reweight(
         raw /= total
         return raw, False
     return probs, True
+
+
+def argmax_actions(verb_probs: np.ndarray, noun_probs: np.ndarray) -> list[Action]:
+    """The argmax of each row as an Action, one per step of the (steps, C)
+    verb and noun arrays; argmax returns the lowest index on ties."""
+    return list(map(Action, verb_probs.argmax(axis=-1).tolist(), noun_probs.argmax(axis=-1).tolist()))
 
 
 def _pick(probs: np.ndarray, rng: Optional[CounterRng]) -> int:
@@ -160,10 +172,7 @@ def generate_patterns(
     patterns: list[tuple[Action, ...]] = []
     tiers: list[str] = []
 
-    # argmax returns the lowest index on ties
-    verbs = dists.verb_probs.argmax(axis=1).tolist()
-    nouns = dists.noun_probs.argmax(axis=1).tolist()
-    patterns.append(tuple(map(Action, verbs, nouns)))
+    patterns.append(tuple(argmax_actions(dists.verb_probs, dists.noun_probs)))
     tiers.append(TIER_RAW_ARGMAX)
 
     if cfg.num_patterns >= 2:

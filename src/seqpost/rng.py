@@ -21,7 +21,10 @@ multiplies are numpy (all correctly rounded), while ``log``, ``cos`` and
 ``sin`` stay with the ``math`` module, mapped over Python floats by
 :func:`libm_map`, because numpy's SIMD transcendentals are not guaranteed to
 round like libm and do differ from it in the last bit on some inputs and hosts
-(its AVX-512 ``exp`` against its AVX2 one, for example).
+(its AVX-512 ``exp`` against its AVX2 one, for example). ``normals`` is
+``libm_map``'s only caller: softmax has an ``exp`` of its own built from
+correctly rounded numpy operations (``seqpost.ensemble``). Moving ``normals``
+off libm too would change the synthetic logits' bits.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ NORMAL_BOUND = math.sqrt(-2.0 * math.log(2.0 ** -53))
 
 def libm_map(fn, values: np.ndarray) -> np.ndarray:
     """``fn``, a ``math`` function, of each element of ``values``, in its shape:
-    the same bits whichever SIMD kernels numpy dispatches on this host."""
+    the same bits whichever SIMD kernels numpy dispatches on this host. Only
+    :meth:`CounterRng.normals` uses it."""
     values = np.asarray(values)
     return np.fromiter(map(fn, values.ravel().tolist()), np.float64, values.size).reshape(values.shape)
 

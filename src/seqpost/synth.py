@@ -78,13 +78,6 @@ class SynthConfig:
             raise ValueError(f"mode must be one of {', '.join(modes)}, got {self.mode!r}")
 
 
-def sharpness_for_mass(designated_mass: float, num_classes: int) -> float:
-    """Sharpness that puts ``designated_mass`` on the designated successor."""
-    if num_classes < 2:
-        return 1.0
-    return designated_mass * (num_classes - 1) / (1.0 - designated_mass)
-
-
 def make_vocabularies(cfg: SynthConfig) -> tuple[Vocabulary, Vocabulary]:
     return (
         Vocabulary("verb", tuple(f"verb{i}" for i in range(cfg.c_verb))),

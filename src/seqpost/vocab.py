@@ -96,10 +96,6 @@ class ActionSequence:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ActionSequence":
-        return cls.from_obj(json.loads(text))
-
-    @classmethod
     def from_obj(cls, obj: dict) -> "ActionSequence":
         return cls(
             episode_id=record_id(obj, "episode_id"),

@@ -11,6 +11,9 @@ import mpmath
 import numpy as np
 
 from seqpost.cooc import CoocStats, IndicatorMode, SmoothingConfig
+from seqpost.ensemble import EnsembleWeights, combine_logits, softmax_rows
+from seqpost.metric import evaluate_corpus
+from seqpost.refine import PredictionConfig, generate_patterns
 from seqpost.rng import CounterRng
 
 
@@ -173,3 +176,31 @@ def score_table(stats, axis, mode):
         num = np.clip(transition * marginal[:, None], lo, hi)
     log_num = np.log(num)
     return (log_num - np.log(clamped[:, None] * clamped)) / -log_num
+
+
+def sweep_scores(a_list, b_list, truths):
+    """``(key, alpha, beta)`` for each weight pair ``ensemble --sweep`` tries,
+    in grid order, with key = (action, verb, noun) ED of the raw argmax, by
+    the per-example loop the CLI ran before it stacked the dev split: each
+    pair combines, softmaxes and decodes one example at a time."""
+    grid = [round(0.1 * i, 1) for i in range(21)]
+    raw_cfg = PredictionConfig(num_patterns=1)
+    scores = []
+    for alpha in grid:
+        for beta in grid:
+            if alpha == 0.0 and beta == 0.0:
+                continue
+            weights = EnsembleWeights(alpha=alpha, beta=beta)
+            preds = [generate_patterns(softmax_rows(combine_logits(a, b, weights)), None, raw_cfg)
+                     for a, b in zip(a_list, b_list)]
+            report = evaluate_corpus(preds, truths)
+            scores.append(((report.ed_action, report.ed_verb, report.ed_noun), alpha, beta))
+    return scores
+
+
+def sweep_stdout(scores):
+    """What ``ensemble --sweep`` prints for ``sweep_scores``: the first pair
+    with the lowest key wins."""
+    key, alpha, beta = min(scores, key=lambda score: score[0])
+    return (f"best weights by action ED: alpha={alpha} beta={beta} (ed_action={key[0]:.4f})\n"
+            + json.dumps({"alpha": alpha, "beta": beta, "ed_action": key[0]}) + "\n")

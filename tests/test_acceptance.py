@@ -23,10 +23,11 @@ from seqpost.ensemble import EnsembleWeights, LogitsTensor, combine_logits
 from seqpost.metric import ed_at_k, edit_distance
 from seqpost.refine import PredictionConfig, PredictionSet, refine_noun_step, refine_verb_step
 from seqpost.rng import CounterRng
-from seqpost.synth import SynthConfig, run_refinement_experiment, sharpness_for_mass
+from seqpost.synth import SynthConfig, run_refinement_experiment
 from seqpost.vocab import Action, ActionSequence, Vocabulary
 
 from oracles import all_sequences, recursive_edit_distance
+from test_synth import sharpness_for_mass
 
 
 def _report(num, description):

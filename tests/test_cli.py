@@ -14,8 +14,11 @@ import seqpost.metric
 from seqpost.cli import main
 from seqpost.cooc import CoocStats, IndicatorMode, SmoothingConfig
 from seqpost.decoder import TrainConfig
-from seqpost.ensemble import EnsembleWeights, LogitsTensor
+from seqpost.ensemble import EnsembleWeights, LogitsTensor, dump_logits, load_logits
 from seqpost.refine import PredictionSet
+from seqpost.vocab import Action, ActionSequence, dump_corpus, load_corpus
+
+from oracles import sweep_scores, sweep_stdout
 
 
 @pytest.fixture
@@ -856,9 +859,9 @@ def test_sweep_writes_no_manifest(manifest_workspace):
 
 
 @pytest.mark.parametrize("smooth, digest, line", [
-    ("off", "dc0d5fa1db01618bb21da3fdfdd8e4976898ce07ce0fbc5c991d610613c6e0e7",
+    ("off", "6fa73791671c29f51a90a2602a0db89ed1df58a3fe53a5c7cb59e14453a63a6d",
      "loss 11.0258 -> 4.7843"),
-    ("on", "6b249936f30f65b1bc3b2cbb991c46763c3831c70396cd807e2505adaa59d6ea",
+    ("on", "f72c1fcada85b64b6ee673b7531b41a23f65c309a5b37fb3289efbbd0fc9e6d7",
      "loss 10.7666 -> 7.5192"),
 ], ids=["off", "on"])
 def test_train_checkpoint_bytes_and_loss_line_pinned(tmp_path, capsys, smooth, digest, line):
@@ -1232,3 +1235,126 @@ def test_logits_record_without_classes_is_one_error_line(workspace, capsys, comm
         f"error: {logits}:2: bad logits record: logits need at least one class per axis, got {shapes}\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tiers", [[], ["whatever", 7], ["raw_argmax", "raw_argmax"], "raw_argmax"],
+                         ids=["empty", "unknown", "one_too_many", "not_a_list"])
+def test_eval_tiers_not_one_known_name_per_pattern_is_one_error_line(tmp_path, capsys, tiers):
+    truth, preds, out = tmp_path / "truth.jsonl", tmp_path / "preds.jsonl", tmp_path / "out.jsonl"
+    _write_lines(truth, [json.dumps({"episode_id": "e", "actions": [[0, 0]]})])
+    _write_lines(preds, [json.dumps({"example_id": "e", "patterns": [[[0, 0]]], "tiers": tiers})])
+    assert main(["eval", "--quiet", "--preds", str(preds), "--truth", str(truth), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {preds}:1: bad prediction record: tiers {tiers!r} must be 1 tier name(s), one per "
+        "pattern, each one of raw_argmax, refined_argmax, refined_sampled\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb_logits", [[["1.5", True]], [["1.5", 0.5]], [[True, False]], [[None, 1.0]],
+                                         [[10 ** 30, 1.0]]],
+                         ids=["string_and_bool", "string", "bools", "null", "int_beyond_64_bits"])
+def test_logits_that_are_not_json_numbers_are_one_error_line(tmp_path, capsys, verb_logits):
+    logits, out = tmp_path / "logits.jsonl", tmp_path / "out.jsonl"
+    _write_lines(logits, [json.dumps({"example_id": "e", "verb_logits": verb_logits,
+                                      "noun_logits": [[1.0, 2.0]]})])
+    assert main(["refine", "--quiet", "--logits", str(logits), "--z", "1", "--k", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {logits}:1: bad logits record: verb_logits must be JSON numbers\n"
+    )
+    assert not out.exists()
+
+
+def test_integer_logits_are_numbers(tmp_path):
+    logits = tmp_path / "logits.jsonl"
+    _write_lines(logits, [json.dumps({"example_id": "e", "verb_logits": [[1, 2]], "noun_logits": [[3, 1.5]]})])
+    (tensor,) = load_logits(str(logits))
+    assert tensor.verb_logits.dtype == np.float64
+    assert tensor.verb_logits.tolist() == [[1.0, 2.0]] and tensor.noun_logits.tolist() == [[3.0, 1.5]]
+
+
+# ---------------------------------------------------------------------------
+# ensemble --sweep scores the stacked dev split as the per-example loop did
+
+
+def _dev_split(root, seed, steps, near_ties=False, same_models=False, c_verb=3, c_noun=4):
+    """Seeded logits of two models and a truth corpus for examples of the
+    given step counts, written to ``root``; returns the three paths."""
+    gen = np.random.default_rng(seed)
+    models = {"a": [], "b": []}
+    truths = []
+    for i, z in enumerate(steps):
+        example_id = f"dev{i}"
+        for name in models:
+            verb, noun = gen.normal(size=(z, c_verb)), gen.normal(size=(z, c_noun))
+            if near_ties:
+                # classes 0 and 1 an ulp apart at the top of each verb row: where
+                # the weighted sums differ the raw argmax is 1, but exp rounds
+                # both to 1.0 after the max is subtracted, so the softmax's is 0
+                verb[:, 0], verb[:, 1] = 0.05, np.nextafter(0.05, 1.0)
+                verb[:, 2:] = -5.0
+            models[name].append(LogitsTensor(example_id, verb, noun))
+        if same_models:
+            models["b"][-1] = models["a"][-1]
+        verbs = np.ones(z, dtype=int) if near_ties else gen.integers(c_verb, size=z)
+        truths.append(ActionSequence(example_id, tuple(
+            map(Action, verbs.tolist(), gen.integers(c_noun, size=z).tolist()))))
+    paths = [root / "dev_a.jsonl", root / "dev_b.jsonl", root / "dev_truth.jsonl"]
+    dump_logits(models["a"], str(paths[0]))
+    dump_logits(models["b"], str(paths[1]))
+    dump_corpus(truths, str(paths[2]))
+    return paths
+
+
+def _sweep_argv(paths):
+    a, b, truth = map(str, paths)
+    return ["ensemble", "--sweep", "--logits-a", a, "--logits-b", b, "--truth", truth]
+
+
+@pytest.mark.parametrize("seed, steps, near_ties, same_models", [
+    (0, [3, 5, 1, 4], False, False),
+    (1, [6, 2, 6], True, False),
+    (2, [4, 4, 2], False, True),
+], ids=["different_z", "near_ties_in_exp", "same_models"])
+def test_sweep_prints_what_the_per_example_loop_prints(tmp_path, capsys, seed, steps, near_ties, same_models):
+    paths = _dev_split(tmp_path, seed, steps, near_ties, same_models)
+    scores = sweep_scores(load_logits(str(paths[0])), load_logits(str(paths[1])), load_corpus(str(paths[2])))
+    best = min(key for key, _, _ in scores)
+    assert sum(key == best for key, _, _ in scores) > 1  # ties between grid pairs go to the first
+    assert main(_sweep_argv(paths)) == 0
+    assert capsys.readouterr() == (sweep_stdout(scores), "")
+
+
+def test_sweep_overflow_names_the_first_example_the_per_example_loop_names(tmp_path, capsys):
+    paths = _dev_split(tmp_path, 3, [2, 3, 2], same_models=True)
+    tensors = load_logits(str(paths[0]))
+    # dev1 overflows once alpha + beta > 1.79, in its first row; so does dev2
+    tensors[1].noun_logits[0, 1] = 1e308
+    tensors[2].verb_logits[0, 0] = 1e308
+    for path in paths[:2]:
+        dump_logits(tensors, str(path))
+    with pytest.raises(ValueError) as excinfo:
+        sweep_scores(tensors, tensors, load_corpus(str(paths[2])))
+    assert str(excinfo.value) == "example 'dev1': weighted logits must be finite (alpha=0.0, beta=1.8)"
+    assert main(_sweep_argv(paths)) == 1
+    assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+
+
+def test_sweep_of_an_empty_dev_split_is_one_error_line(tmp_path, capsys):
+    paths = _dev_split(tmp_path, 5, [])
+    assert main(_sweep_argv(paths)) == 1
+    assert capsys.readouterr().err == f"error: {paths[0]}: the dev split has no examples\n"
+
+
+def test_sweep_dev_record_with_other_class_counts_is_one_error_line(tmp_path, capsys):
+    paths = _dev_split(tmp_path, 4, [2, 2], same_models=True)
+    tensors = load_logits(str(paths[0]))
+    tensors[1] = LogitsTensor("dev1", tensors[1].verb_logits, np.zeros((2, 5)))
+    for path in paths[:2]:
+        dump_logits(tensors, str(path))
+    assert main(_sweep_argv(paths)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths[0]}: example 'dev1' has 3 verb and 5 noun classes, "
+        "the first example 'dev0' has 3 and 4\n"
+    )

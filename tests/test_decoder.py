@@ -339,12 +339,12 @@ def pinned_train_rows(n=7, feature_dim=5, z=3):
 
 PINNED_TRAIN = {
     False: (
-        "3b2f6396cec136fefd7a634e40af52cfb4c688fbf6361b1ea91e127719440abb",
+        "2f943c600661ebd135254765ce36d5749a3985222c746bc799f9581f9e41e4e1",
         ["0x1.60d33904888b0p+3", "0x1.1b459415354ebp+3", "0x1.ca29793e861d9p+2",
-         "0x1.832535104c3efp+2", "0x1.52f4be8936289p+2", "0x1.323234c34b64ep+2"],
+         "0x1.832535104c3eep+2", "0x1.52f4be8936289p+2", "0x1.323234c34b64ep+2"],
     ),
     True: (
-        "33dc8ef6933db50b82164b8d57f91f824385d1fd316a2ff6766587a6174fb41c",
+        "2d0a0cccaf169630084cc536ba5a5c16414e5c6aa7aafc443f53b2b994231da0",
         ["0x1.5888261a5172dp+3", "0x1.3526e2eda1edbp+3", "0x1.193c46dea27bfp+3",
          "0x1.07175739b9b48p+3", "0x1.f30d75d7be395p+2", "0x1.e13b28cd1e81dp+2"],
     ),

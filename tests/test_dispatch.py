@@ -26,7 +26,8 @@ _CHILD = ("import json, sys; from seqpost.cli import main; "
 
 def _outputs(root: Path, disabled: str) -> dict[str, bytes]:
     """The bytes of every file a small train run and a small 40 x 130
-    synth gen -> stats -> refine run write, manifests aside."""
+    synth gen -> stats -> refine run write, manifests aside, and the line a
+    small ensemble --sweep prints, as ``stdout``."""
     root.mkdir()
     (root / "train.jsonl").write_text("".join(json.dumps(row) + "\n" for row in pinned_train_rows()))
     # 40 and 130 classes: the draws, counts and score rows run over rows wider
@@ -38,6 +39,11 @@ def _outputs(root: Path, disabled: str) -> dict[str, bytes]:
          "--epochs", "6", "--batch-size", "3", "--c-verb", "4", "--c-noun", "9", "--out", "ckpt.json"],
         ["synth", "gen", "--config", "synth.json", "--out-corpus", "corpus.jsonl",
          "--out-logits", "logits.jsonl", "--out-vocab-prefix", "vocab"],
+        # a second model: the same example ids, other noise
+        ["synth", "gen", "--config", "synth.json", "--seed", "8", "--out-corpus", "corpus_b.jsonl",
+         "--out-logits", "logits_b.jsonl"],
+        ["ensemble", "--sweep", "--logits-a", "logits.jsonl", "--logits-b", "logits_b.jsonl",
+         "--truth", "corpus.jsonl"],
         ["stats", "--train", "corpus.jsonl", "--verb-vocab", "vocab.verb.json",
          "--noun-vocab", "vocab.noun.json", "--out", "stats.json"],
         ["refine", "--stats", "stats.json", "--logits", "logits.jsonl", "--logits-b", "logits.jsonl",
@@ -53,8 +59,9 @@ def _outputs(root: Path, disabled: str) -> dict[str, bytes]:
         refusal = done.stderr[done.stderr.rindex("NPY_DISABLE_CPU_FEATURES"):].split()
         pytest.skip(f"numpy on this host refuses {disabled!r}: {' '.join(refusal[1:])}")
     assert (done.returncode, done.stderr) == (0, "")
-    return {path.name: path.read_bytes() for path in sorted(root.iterdir())
-            if not path.name.endswith(".manifest.json")}
+    return {"stdout": done.stdout.encode(),
+            **{path.name: path.read_bytes() for path in sorted(root.iterdir())
+               if not path.name.endswith(".manifest.json")}}
 
 
 @pytest.fixture(scope="module")
@@ -66,4 +73,5 @@ def default_outputs(tmp_path_factory):
 def test_outputs_equal_with_simd_levels_disabled(tmp_path, default_outputs, level):
     outputs = _outputs(tmp_path / level, LEVELS[level])
     assert {"ckpt.json", "preds.jsonl", "stats.json"} <= set(outputs)
+    assert set(json.loads(outputs["stdout"])) == {"alpha", "beta", "ed_action"}
     assert outputs == default_outputs

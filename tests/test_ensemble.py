@@ -1,11 +1,14 @@
+import hashlib
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from seqpost.ensemble import (
     EnsembleWeights,
     LogitsTensor,
+    _exp,
     combine_logits,
     dump_logits,
     load_logits,
@@ -142,3 +145,57 @@ def test_combine_overflow_is_an_error_naming_the_example_and_no_warning(b, weigh
         with pytest.raises(ValueError) as excinfo:
             combine_logits(a, other, weights)
     assert str(excinfo.value) == f"example 'big': weighted logits must be finite ({message})"
+
+
+# ---------------------------------------------------------------------------
+# the exp kernel softmax uses
+
+
+def _exp_no_warning(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _exp(np.array(x, dtype=np.float64))
+
+
+def _ulps_from_exact(got, xs):
+    """How many doubles lie between each ``got`` and exp(x) rounded from 60 digits."""
+    with mpmath.workdps(60):
+        exact = np.array([float(mpmath.exp(mpmath.mpf(x))) for x in xs])
+    return np.abs(got.view(np.int64) - exact.view(np.int64))
+
+
+def test_exp_kernel_is_within_one_ulp_of_mpmath():
+    gen = np.random.default_rng(16)
+    xs = np.concatenate([
+        gen.uniform(-745.2, 0.0, 3000),
+        gen.uniform(-1.0, 0.0, 1000),  # the reduction's k = 0 and k = -1 steps
+        -np.ldexp(1.0, gen.integers(-80, 10, 200)) * gen.uniform(1.0, 2.0, 200),
+        np.linspace(-745.13, -708.4, 400),  # results in the subnormal range
+    ])
+    got = _exp_no_warning(xs)
+    assert _ulps_from_exact(got, xs).max() <= 1
+    assert (got[xs < -708.4] < np.finfo(np.float64).tiny).all()
+
+
+def test_exp_kernel_edges():
+    xs = [0.0, -0.0, -2.0 ** -60, -745.13, -745.1332191019411, -745.14, -746.0, -1e300, -np.inf, np.nan]
+    got = _exp_no_warning(xs)
+    assert got[:3].tolist() == [1.0, 1.0, 1.0]
+    assert got[3:5].tolist() == [5e-324, 5e-324]  # the smallest subnormal
+    assert got[5:9].tolist() == [0.0] * 4 and not np.signbit(got[5:9]).any()
+    assert np.isnan(got[9])
+
+
+def test_exp_kernel_keeps_its_input_and_shape():
+    x = np.array([[-1.0, -np.inf], [np.nan, -800.0]])
+    kept = x.copy()
+    assert _exp_no_warning(x).shape == (2, 2)
+    assert np.array_equal(x, kept, equal_nan=True)
+
+
+def test_exp_kernel_bits_pinned():
+    """The kernel's bits over a fixed grid, whichever SIMD kernels numpy
+    dispatches; CI runs this with numpy's AVX-512 kernels off too."""
+    grid = np.concatenate([np.linspace(-746.0, 0.0, 200_001), [-0.0, -2.0 ** -60, -np.inf]])
+    digest = hashlib.sha256(_exp_no_warning(grid).tobytes()).hexdigest()
+    assert digest == "dbfa6dc387cf489bf83b7af1c03fd042e6c8d05d23b6c6043cba3afed2f8622a"

@@ -13,11 +13,17 @@ from seqpost.synth import (
     gen_markov_corpus,
     planted_tables,
     run_refinement_experiment,
-    sharpness_for_mass,
 )
 from seqpost.vocab import Action, ActionSequence, validate_sequence
 
 from oracles import corrupt_logits_loop, count_stats
+
+
+def sharpness_for_mass(designated_mass: float, num_classes: int) -> float:
+    """Sharpness that puts ``designated_mass`` on the designated successor."""
+    if num_classes < 2:
+        return 1.0
+    return designated_mass * (num_classes - 1) / (1.0 - designated_mass)
 
 
 def test_sharpness_uniform_when_one():

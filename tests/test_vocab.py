@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from seqpost.vocab import Action, ActionSequence, Vocabulary, validate_sequence
@@ -34,7 +36,7 @@ def test_vocabulary_roundtrip(vocabs):
 
 def test_sequence_roundtrip():
     seq = ActionSequence("ep1", (Action(0, 2), Action(1, 1)))
-    assert ActionSequence.from_json(seq.to_json()) == seq
+    assert ActionSequence.from_obj(json.loads(seq.to_json())) == seq
 
 
 def test_validate_ok(vocabs):
