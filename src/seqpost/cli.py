@@ -307,9 +307,9 @@ def cmd_train(args) -> list[str]:
     if not dataset:
         raise ValueError("empty training dataset")
     feature_dim, num_steps = dataset[0][0].shape[0], len(dataset[0][1].actions)
-    actions = [a for _, seq in dataset for a in seq.actions]
-    c_verb = _class_count(args.c_verb, "--c-verb", [a.verb_id for a in actions])
-    c_noun = _class_count(args.c_noun, "--c-noun", [a.noun_id for a in actions])
+    verb_ids, noun_ids = zip(*(a for _, seq in dataset for a in seq.actions))
+    c_verb = _class_count(args.c_verb, "--c-verb", verb_ids)
+    c_noun = _class_count(args.c_noun, "--c-noun", noun_ids)
     dec = MultiHeadDecoder.init(feature_dim, num_steps, c_verb, c_noun, seed=args.seed)
     cfg = TrainConfig(
         learning_rate=args.lr,

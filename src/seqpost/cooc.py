@@ -22,13 +22,14 @@ import json
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from numbers import Real
 from typing import TextIO
 
 import numpy as np
 
-from .vocab import ActionSequence, Vocabulary, validate_sequence
+from .vocab import ActionSequence, Vocabulary, json_numbers, record_id, validate_sequence
 
 
 class IndicatorMode(Enum):
@@ -43,6 +44,10 @@ class SmoothingConfig:
     prob_clamp_max: float = 1.0 - 1e-6
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise TypeError(f"{f.name} must be a number, got {value!r}")
         if not 0 <= self.add_k < math.inf:
             raise ValueError(f"add_k must be nonnegative and finite, got {self.add_k}")
         if not (0.0 < self.prob_clamp_min < 0.5):
@@ -66,6 +71,10 @@ class CoocStats:
     _score_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("verb_marginal", "noun_marginal"):
+            shape = getattr(self, name).shape
+            if len(shape) != 1:
+                raise ValueError(f"{name} has shape {shape}, expected one entry per class")
         c_verb, c_noun = self.c_verb, self.c_noun
         for name, shape in (
             ("verb_transition", (c_verb, c_verb)),
@@ -125,12 +134,17 @@ class CoocStats:
         """Stats from the text of a stats file, or from a text handle, which
         is read a chunk at a time (see ``_StatsReader``)."""
         obj = _StatsReader(io.StringIO(source) if isinstance(source, str) else source).read()
-        smoothing = SmoothingConfig(**obj["smoothing"])
+        missing = [f.name for f in fields(SmoothingConfig) if f.name not in obj["smoothing"]]
+        if missing:
+            raise ValueError(f"smoothing lacks {', '.join(missing)}")
         stats = cls(
-            **{name: np.array(obj[name], dtype=np.float64) for name in _TABLES},
-            smoothing=smoothing,
-            corpus_fingerprint=obj["corpus_fingerprint"],
+            **{name: json_numbers(obj, name) for name in _TABLES},
+            smoothing=SmoothingConfig(**obj["smoothing"]),
+            corpus_fingerprint=record_id(obj, "corpus_fingerprint"),
         )
+        for key in ("c_verb", "c_noun"):
+            if type(obj[key]) is not int:
+                raise ValueError(f"{key} {obj[key]!r} is not an integer")
         if (obj["c_verb"], obj["c_noun"]) != (stats.c_verb, stats.c_noun):
             raise ValueError(
                 f"c_verb {obj['c_verb']!r} and c_noun {obj['c_noun']!r} do not match the "
@@ -318,7 +332,7 @@ def build_stats(
     for seq in corpus:
         validate_sequence(seq, c_verb, c_noun)
         starts.append(len(pairs))
-        pairs.extend((action.verb_id, action.noun_id) for action in seq.actions)
+        pairs.extend(seq.actions)
     verbs, nouns = np.array(pairs, dtype=np.intp).T
     # every position but a sequence's first ends a bigram
     later = np.delete(np.arange(len(pairs)), starts)

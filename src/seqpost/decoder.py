@@ -22,7 +22,7 @@ import numpy as np
 
 from .ensemble import softmax
 from .rng import CounterRng
-from .vocab import ActionSequence, iter_jsonl, parse_actions, validate_sequence
+from .vocab import ActionSequence, iter_jsonl, json_numbers, parse_actions, validate_sequence
 
 _LOG_FLOOR = 1e-12
 
@@ -113,7 +113,7 @@ class MultiHeadDecoder:
         """A checkpoint whose arrays disagree with its num_steps, its
         feature_dim or each other raises ValueError."""
         obj = json.loads(text)
-        arrays = {f.name: np.array(obj[f.name], dtype=np.float64) for f in fields(cls)}
+        arrays = {f.name: json_numbers(obj, f.name) for f in fields(cls)}
         z, d = obj["num_steps"], obj["feature_dim"]
         for axis in ("verb", "noun"):
             classes = arrays[f"{axis}_biases"].shape[-1:]  # () for a scalar
@@ -160,7 +160,7 @@ def loss_and_grad(
     """Mean over the batch of the per-example summed cross-entropy, plus
     analytic gradients in the same layout as the decoder parameters."""
     features = np.array([f for f, _ in batch], dtype=np.float64)  # (B, D)
-    ids = np.array([[(a.verb_id, a.noun_id) for a in seq.actions] for _, seq in batch])
+    ids = np.array([seq.actions for _, seq in batch])
     logits = decoder_forward(dec, features)
     scale = 1.0 / len(batch)
     grads: dict[str, np.ndarray] = {}

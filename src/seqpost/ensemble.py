@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .vocab import iter_records, record_id
+from .vocab import iter_records, json_numbers, record_id
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,9 @@ class LogitsTensor:
     def from_obj(cls, obj: dict) -> "LogitsTensor":
         return cls(
             example_id=record_id(obj, "example_id"),
-            verb_logits=_numbers(obj, "verb_logits"),
-            noun_logits=_numbers(obj, "noun_logits"),
+            verb_logits=json_numbers(obj, "verb_logits"),
+            noun_logits=json_numbers(obj, "noun_logits"),
         )
-
-
-def _numbers(obj: dict, key: str) -> np.ndarray:
-    """``obj[key]`` as an array of JSON numbers. It is built without a dtype,
-    so a string (``"1.5"``), a row of booleans or a null is refused rather
-    than converted, as is an integer literal too large for 64 bits; a boolean
-    among numbers still converts to 0 or 1."""
-    values = np.array(obj[key])
-    if values.dtype.kind not in "fi":
-        raise ValueError(f"{key} must be JSON numbers")
-    return values
 
 
 @dataclass(frozen=True)

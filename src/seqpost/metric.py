@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from .refine import PredictionSet
-from .vocab import ActionSequence
+from .vocab import Action, ActionSequence
 
 
 def edit_distance(a: Sequence, b: Sequence, allow_transposition: bool = True) -> int:
@@ -66,13 +66,15 @@ def edit_distance(a: Sequence, b: Sequence, allow_transposition: bool = True) ->
     return score
 
 
-def project_axis(actions, axis: str) -> list:
+def project_axis(actions: Sequence[Action], axis: str) -> Sequence:
+    """The tokens of one axis: the verb ids, the noun ids, or for ``action``
+    the Actions themselves, which hash and compare as (verb_id, noun_id)."""
     if axis == "verb":
         return [a.verb_id for a in actions]
     if axis == "noun":
         return [a.noun_id for a in actions]
     if axis == "action":
-        return [(a.verb_id, a.noun_id) for a in actions]
+        return actions
     raise ValueError(f"unknown axis {axis!r}")
 
 

@@ -55,13 +55,7 @@ class PredictionSet:
     tiers: tuple[str, ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "example_id": self.example_id,
-                "patterns": [[[a.verb_id, a.noun_id] for a in p] for p in self.patterns],
-                "tiers": list(self.tiers),
-            }
-        )
+        return json.dumps({"example_id": self.example_id, "patterns": self.patterns, "tiers": self.tiers})
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PredictionSet":

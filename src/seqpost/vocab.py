@@ -1,4 +1,4 @@
-"""Vocabularies, actions and action sequences shared by every module.
+"""Vocabularies, actions, action sequences and the JSON readers every module shares.
 
 Class ids are dense array indices: id i is the i-th name in the vocabulary,
 so ids line up with logit-array columns with no remapping.
@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
@@ -47,15 +49,19 @@ class Vocabulary:
         return cls(kind=obj["kind"], names=tuple(names))
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
+    """One step's class ids. A tuple, so files spell it ``[verb_id, noun_id]``
+    and it hashes and compares as the pair ``(verb_id, noun_id)``."""
+
     verb_id: int
     noun_id: int
 
 
 def parse_actions(pairs) -> tuple[Action, ...]:
-    """``[[verb_id, noun_id], ...]`` as Actions; each id must be a JSON
-    integer, so a bool, float or string raises ValueError."""
+    """``[[verb_id, noun_id], ...]`` as Actions; it must be a JSON list and
+    each id a JSON integer, so a bool, float or string raises ValueError."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"actions {pairs!r} are not a list of [verb_id, noun_id] pairs")
     actions = []
     for pair in pairs:
         if not (
@@ -65,6 +71,17 @@ def parse_actions(pairs) -> tuple[Action, ...]:
             raise ValueError(f"action {pair!r} is not a [verb_id, noun_id] pair of integers")
         actions.append(Action(pair[0], pair[1]))
     return tuple(actions)
+
+
+def json_numbers(obj: dict, key: str) -> np.ndarray:
+    """``obj[key]`` as a float64 array of JSON numbers. The array is first
+    built without a dtype, so a string (``"1.5"``), a null, an array of
+    booleans or an integer literal too large for 64 bits is refused rather
+    than converted; a boolean among numbers still converts to 0 or 1."""
+    values = np.array(obj[key])
+    if values.dtype.kind not in "fi":
+        raise ValueError(f"{key} must be JSON numbers")
+    return values.astype(np.float64, copy=False)
 
 
 def record_id(obj: dict, key: str) -> str:
@@ -88,12 +105,7 @@ class ActionSequence:
         return len(self.actions)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "episode_id": self.episode_id,
-                "actions": [[a.verb_id, a.noun_id] for a in self.actions],
-            }
-        )
+        return json.dumps({"episode_id": self.episode_id, "actions": self.actions})
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ActionSequence":

@@ -12,11 +12,11 @@ import pytest
 import seqpost.cli
 import seqpost.metric
 from seqpost.cli import main
-from seqpost.cooc import CoocStats, IndicatorMode, SmoothingConfig
+from seqpost.cooc import CoocStats, IndicatorMode, SmoothingConfig, build_stats
 from seqpost.decoder import TrainConfig
 from seqpost.ensemble import EnsembleWeights, LogitsTensor, dump_logits, load_logits
 from seqpost.refine import PredictionSet
-from seqpost.vocab import Action, ActionSequence, dump_corpus, load_corpus
+from seqpost.vocab import Action, ActionSequence, Vocabulary, dump_corpus, load_corpus
 
 from oracles import sweep_scores, sweep_stdout
 
@@ -370,8 +370,22 @@ def test_stats_vocabulary_of_the_wrong_kind_is_one_error_line(
      "noun_transition holds inf, expected finite entries >= 0"),
     (lambda obj: obj["verb_given_noun"][2].__setitem__(0, -0.5),
      "verb_given_noun holds -0.5, expected finite entries >= 0"),
+    (lambda obj: obj.update(corpus_fingerprint=7), "corpus_fingerprint 7 is not a string"),
+    (lambda obj: obj.update(c_verb=4.0), "c_verb 4.0 is not an integer"),
+    (lambda obj: obj["smoothing"].update(add_k=True), "add_k must be a number, got True"),
+    (lambda obj: obj["smoothing"].update(prob_clamp_max="0.9"), "prob_clamp_max must be a number, got '0.9'"),
+    (lambda obj: obj["smoothing"].pop("prob_clamp_min"), "smoothing lacks prob_clamp_min"),
+    (lambda obj: obj["verb_marginal"].__setitem__(slice(0, 2), ["0.5", True]),
+     "verb_marginal must be JSON numbers"),
+    (lambda obj: obj.update(verb_marginal=[True] * 4), "verb_marginal must be JSON numbers"),
+    (lambda obj: obj.update(noun_transition=[[True, False, False, False]] * 4),
+     "noun_transition must be JSON numbers"),
+    (lambda obj: obj["verb_given_noun"][1].__setitem__(0, None), "verb_given_noun must be JSON numbers"),
+    (lambda obj: obj.update(noun_marginal=0.25), "noun_marginal has shape (), expected one entry per class"),
 ], ids=["missing_table", "short_table", "wrong_class_count", "NaN_entry", "Infinity_entry",
-        "negative_entry"])
+        "negative_entry", "numeric_fingerprint", "float_class_count", "boolean_add_k", "string_clamp",
+        "missing_smoothing_key", "string_and_boolean_entries", "boolean_table", "boolean_rows",
+        "null_entry", "scalar_marginal"])
 def test_malformed_stats_is_one_error_line(workspace, capsys, corrupt, message):
     assert _build_stats(workspace) == 0
     obj = json.loads((workspace / "stats.json").read_text())
@@ -387,6 +401,21 @@ def test_malformed_stats_is_one_error_line(workspace, capsys, corrupt, message):
     err = capsys.readouterr().err
     assert err == f"error: {bad}: bad stats file: {message}\n"
     assert not (workspace / "x.jsonl").exists()
+
+
+def test_boolean_class_count_is_one_error_line(tmp_path, capsys):
+    """``true`` equals 1, so it would pass as the class count of a one-verb stats file."""
+    corpus = [ActionSequence("e", (Action(0, 0), Action(0, 1)))]
+    vocab = lambda kind, n: Vocabulary(kind, tuple(f"{kind}{i}" for i in range(n)))
+    obj = json.loads(build_stats(corpus, vocab("verb", 1), vocab("noun", 2), SmoothingConfig()).to_json())
+    obj["c_verb"] = True
+    bad, logits = tmp_path / "stats.json", tmp_path / "logits.jsonl"
+    bad.write_text(json.dumps(obj))
+    dump_logits([LogitsTensor("e", np.zeros((2, 1)), np.zeros((2, 2)))], str(logits))
+    assert main(["refine", "--quiet", "--stats", str(bad), "--logits", str(logits),
+                 "--z", "2", "--k", "2", "--out", str(tmp_path / "x.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: bad stats file: c_verb True is not an integer\n"
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def _refine_with_stats(ws, stats_path):

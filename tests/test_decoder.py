@@ -293,6 +293,15 @@ def test_checkpoint_whose_arrays_disagree_is_rejected(key, value, message):
         MultiHeadDecoder.from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("value", [[["0.5", 0.0]] * 3, [[True, False]] * 3, [[None, 0.0]] * 3],
+                         ids=["string", "booleans", "null"])
+def test_checkpoint_arrays_must_be_json_numbers(value):
+    obj = json.loads(MultiHeadDecoder.init(4, 3, 2, 5, seed=14).to_json())
+    obj["verb_biases"] = value
+    with pytest.raises(ValueError, match="^verb_biases must be JSON numbers$"):
+        MultiHeadDecoder.from_json(json.dumps(obj))
+
+
 def test_checkpoint_without_features_is_rejected_not_misread():
     # a (Z, 0, C) weight array is written as Z empty lists, which reads back 2-D
     weights, biases = np.zeros((2, 0, 2)), np.zeros((2, 2))

@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
+from seqpost.cooc import corpus_fingerprint
+from seqpost.refine import PredictionSet
 from seqpost.vocab import Action, ActionSequence, Vocabulary, validate_sequence
 
 
@@ -37,6 +40,47 @@ def test_vocabulary_roundtrip(vocabs):
 def test_sequence_roundtrip():
     seq = ActionSequence("ep1", (Action(0, 2), Action(1, 1)))
     assert ActionSequence.from_obj(json.loads(seq.to_json())) == seq
+
+
+def test_action_is_the_pair_it_spells():
+    assert json.dumps(Action(1, 2)) == "[1, 2]"
+    assert hash(Action(1, 2)) == hash((1, 2))
+    assert Action(1, 2) == (1, 2) and Action(1, 2) != (2, 1)
+
+
+# The bytes below are the corpus and predictions files' spelling, which the
+# corpus fingerprint in every stats file and the golden digests depend on.
+TWO_EPISODES = [
+    ActionSequence("ep0", (Action(0, 2), Action(1, 1), Action(3, 0))),
+    ActionSequence("ep1", (Action(2, 2),)),
+]
+
+
+def test_sequence_json_bytes_pinned():
+    assert TWO_EPISODES[0].to_json() == '{"episode_id": "ep0", "actions": [[0, 2], [1, 1], [3, 0]]}'
+    assert TWO_EPISODES[1].to_json() == '{"episode_id": "ep1", "actions": [[2, 2]]}'
+
+
+def test_prediction_set_json_bytes_pinned():
+    preds = PredictionSet("ex0", ((Action(0, 1), Action(2, 3)), (Action(4, 5), Action(6, 7))),
+                          ("raw_argmax", "refined_sampled"))
+    assert preds.to_json() == ('{"example_id": "ex0", "patterns": [[[0, 1], [2, 3]], [[4, 5], [6, 7]]], '
+                               '"tiers": ["raw_argmax", "refined_sampled"]}')
+    assert PredictionSet.from_obj(json.loads(preds.to_json())) == preds
+
+
+def test_corpus_fingerprint_pinned():
+    expected = "38bcf6c8350834c1ee27800766aaf880b43ca650f7f1a171444e67a11e05c75d"
+    assert corpus_fingerprint(TWO_EPISODES) == expected
+    lines = "".join(seq.to_json() + "\n" for seq in TWO_EPISODES)
+    assert hashlib.sha256(lines.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("actions", ["", "ab", {}, None], ids=["empty_string", "string", "object", "null"])
+def test_actions_must_be_a_list(actions):
+    # a string or an object would otherwise be iterated: "" as no actions at all
+    with pytest.raises(ValueError, match=r"^actions .* are not a list of \[verb_id, noun_id\] pairs$"):
+        ActionSequence.from_obj({"episode_id": "e", "actions": actions})
 
 
 def test_validate_ok(vocabs):
