@@ -46,7 +46,6 @@ from .refine import (  # noqa: F401
     argmax_actions,
     dump_predictions,
     generate_patterns,
-    iter_predictions,
     load_predictions,
 )
 from .synth import (
@@ -59,7 +58,7 @@ from .synth import (
 # validate_sequence is not called here (build_stats validates each sequence),
 # but perfbench/tracing.py wraps it by this name in this module and raises a
 # KeyError if the name is gone, so it stays imported.
-from .vocab import Vocabulary, dump_corpus, load_corpus, validate_sequence  # noqa: F401
+from .vocab import Vocabulary, dump_corpus, iter_numbered_records, load_corpus, validate_sequence  # noqa: F401
 
 
 class InPath(str):
@@ -331,11 +330,28 @@ def cmd_train(args) -> list[str]:
 
 
 def cmd_eval(args) -> list[str]:
+    """Score each prediction as it is read. A fault found in the truths, which
+    are checked first, names the truth file; one found in scoring a prediction
+    names its line; one found between records (a bad record, which names its
+    own line, or no matched example at the end) is raised as it is."""
     truths = load_corpus(args.truth)
-    # each prediction is scored as it is read
-    report = evaluate_corpus(iter_predictions(args.preds), truths,
-                             allow_transposition=not args.no_transposition,
-                             keep_per_example=args.per_example)
+    where = args.truth
+
+    def predictions():
+        nonlocal where
+        where = None
+        for lineno, preds in iter_numbered_records(args.preds, PredictionSet.from_obj, "prediction"):
+            where = f"{args.preds}:{lineno}"
+            yield preds
+            where = None
+
+    try:
+        report = evaluate_corpus(predictions(), truths, allow_transposition=not args.no_transposition,
+                                 keep_per_example=args.per_example)
+    except ValueError as exc:
+        if where is None:
+            raise
+        raise ValueError(f"{where}: {exc}") from exc
     with open(args.out, "w") as handle:
         handle.write(report.to_json() + "\n")
     _say(args, f"Verb {report.ed_verb:.4f}  Noun {report.ed_noun:.4f}  Action {report.ed_action:.4f}"

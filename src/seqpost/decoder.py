@@ -83,13 +83,15 @@ class MultiHeadDecoder:
         for name, size in sizes.items():
             if size < 1:
                 raise ValueError(f"{name} must be >= 1, got {size}")
-        rng = CounterRng(seed, stream=0xDEC0DE)
-        def draw(shape):
-            return init_scale * rng.normals(int(np.prod(shape))).reshape(shape)
+        # one block of draws, verb weights first: checkpoint bytes depend on the order
+        weights = init_scale * CounterRng(seed, stream=0xDEC0DE).normals(
+            num_steps * feature_dim * (c_verb + c_noun)
+        )
+        verb_weights, noun_weights = np.split(weights, [num_steps * feature_dim * c_verb])
         return cls(
-            verb_weights=draw((num_steps, feature_dim, c_verb)),
+            verb_weights=verb_weights.reshape(num_steps, feature_dim, c_verb),
             verb_biases=np.zeros((num_steps, c_verb)),
-            noun_weights=draw((num_steps, feature_dim, c_noun)),
+            noun_weights=noun_weights.reshape(num_steps, feature_dim, c_noun),
             noun_biases=np.zeros((num_steps, c_noun)),
         )
 
@@ -233,19 +235,18 @@ def load_train_dataset(path: str) -> list[tuple[np.ndarray, ActionSequence]]:
     dataset = []
     for lineno, obj in iter_jsonl(path):
         try:
-            raw = obj["features"]
-            # math.isfinite raises OverflowError on an int too large for a float
-            if not (isinstance(raw, list) and all(
-                type(x) in (int, float) and math.isfinite(x) for x in raw
-            )):
+            try:
+                features = json_numbers(obj, "features")
+            except ValueError:  # a non-number, or lists of unequal lengths
+                features = None
+            if features is None or features.ndim != 1 or not np.isfinite(features).all():
                 raise ValueError("features must be a 1-D list of finite numbers")
-            if not raw:
+            if not features.size:
                 raise ValueError("features must not be empty")
-            features = np.array(raw, dtype=np.float64)
             actions = parse_actions(obj["actions"])
             if not actions:
                 raise ValueError("actions must not be empty")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad training record: {exc}") from exc
         dataset.append((features, ActionSequence(episode_id=f"line{lineno}", actions=actions)))
     return dataset

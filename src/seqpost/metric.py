@@ -84,12 +84,9 @@ def ed_at_k(
     axis: str,
     allow_transposition: bool = True,
 ) -> float:
-    """min over patterns of edit_distance / len(truth) on one axis."""
+    """min over patterns of edit_distance / len(truth) on one axis; ``truth``
+    must have at least one action."""
     z = len(truth.actions)
-    if z == 0:
-        raise ValueError(f"example {preds.example_id!r}: truth has no actions")
-    if not preds.patterns:
-        raise ValueError(f"example {preds.example_id!r}: prediction has no patterns")
     for k, pattern in enumerate(preds.patterns):
         if len(pattern) != z:
             raise ValueError(
@@ -129,12 +126,15 @@ def evaluate_corpus(
 
     Predictions whose example_id has no truth are counted as unmatched and
     excluded; zero matched examples and an example_id repeated in either
-    input are errors.
+    input are errors. The truths are checked before the first prediction is
+    read, so a fault found while scoring a prediction is that prediction's.
     """
     truth_by_id: dict = {}
     for truth in truths:
         if truth.episode_id in truth_by_id:
             raise ValueError(f"duplicate example_id {truth.episode_id!r} in the truth")
+        if not truth.actions:
+            raise ValueError(f"example {truth.episode_id!r}: truth has no actions")
         truth_by_id[truth.episode_id] = truth
     seen: set = set()
     per_example: list[dict] = []

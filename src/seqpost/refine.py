@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,6 +53,10 @@ class PredictionSet:
     example_id: str
     patterns: tuple[tuple[Action, ...], ...]  # K patterns of Z actions
     tiers: tuple[str, ...]
+
+    def __post_init__(self):
+        if not self.patterns:
+            raise ValueError(f"example {self.example_id!r}: prediction has no patterns")
 
     def to_json(self) -> str:
         return json.dumps({"example_id": self.example_id, "patterns": self.patterns, "tiers": self.tiers})
@@ -183,13 +187,8 @@ def generate_patterns(
     )
 
 
-def iter_predictions(path: str) -> Iterator[PredictionSet]:
-    """The records of a predictions file, parsed one at a time as they are read."""
-    return iter_records(path, PredictionSet.from_obj, "prediction")
-
-
 def load_predictions(path: str) -> list[PredictionSet]:
-    return list(iter_predictions(path))
+    return list(iter_records(path, PredictionSet.from_obj, "prediction"))
 
 
 def dump_predictions(pred_sets: list[PredictionSet], path: str) -> None:

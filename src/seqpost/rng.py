@@ -14,17 +14,15 @@ on C library or hardware details.
 
 Because output ``i`` depends on the counter alone, a block of outputs is one
 vectorised finalize over ``arange(i0, i1)`` in numpy ``uint64`` (which wraps
-mod 2**64 exactly as the masked scalar code does).  :meth:`CounterRng.normals`
-uses that to draw ``n`` Gaussians at once, bit for bit equal to ``n``
-successive :meth:`CounterRng.gauss` calls: the integer work, ``sqrt`` and the
-multiplies are numpy (all correctly rounded), while ``log``, ``cos`` and
-``sin`` stay with the ``math`` module, mapped over Python floats by
-:func:`libm_map`, because numpy's SIMD transcendentals are not guaranteed to
-round like libm and do differ from it in the last bit on some inputs and hosts
-(its AVX-512 ``exp`` against its AVX2 one, for example). ``normals`` is
-``libm_map``'s only caller: softmax has an ``exp`` of its own built from
-correctly rounded numpy operations (``seqpost.ensemble``). Moving ``normals``
-off libm too would change the synthetic logits' bits.
+mod 2**64 exactly as the masked scalar code does), and the generator's whole
+state is ``_base`` and ``_counter``. :meth:`CounterRng.normals` draws its
+Gaussians from such a block: the integer work, ``sqrt`` and the multiplies are
+numpy (all correctly rounded), while ``log``, ``cos`` and ``sin`` stay with the
+``math`` module, mapped by :func:`libm_map`, because numpy's SIMD
+transcendentals do not always round like libm (its AVX-512 ``exp`` differs from
+its AVX2 one in the last bit on some inputs). Softmax has an ``exp`` of its own
+built from correctly rounded numpy operations (``seqpost.ensemble``); moving
+``normals`` off libm too would change the synthetic logits' bits.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# The largest magnitude gauss and normals return: the Box-Muller radius at the
+# The largest magnitude normals returns: the Box-Muller radius at the
 # smallest draw u1 = 2**-53, times a cosine or sine of magnitude at most 1.
 NORMAL_BOUND = math.sqrt(-2.0 * math.log(2.0 ** -53))
 
@@ -62,7 +60,6 @@ class CounterRng:
         # offsets keep seed 0 / stream 0 away from the finalizer's zero fixed point
         self._base = _finalize(((seed + _GOLDEN) & _MASK64) ^ _finalize((stream + 1) & _MASK64))
         self._counter = 0
-        self._gauss_spare: float | None = None
 
     def next_u64(self) -> int:
         value = _finalize(self._base + self._counter * _GOLDEN)
@@ -88,45 +85,20 @@ class CounterRng:
             raise ValueError("randint bound must be positive")
         return self.next_u64() % n
 
-    def gauss(self) -> float:
-        """Standard normal via Box-Muller; consumes two uniforms per pair."""
-        if self._gauss_spare is not None:
-            value = self._gauss_spare
-            self._gauss_spare = None
-            return value
-        u1 = self.uniform()
-        u2 = self.uniform()
-        # u1 == 0 would take log(0); nudge to the smallest representable draw
-        if u1 == 0.0:
-            u1 = 2.0 ** -53
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._gauss_spare = radius * math.sin(theta)
-        return radius * math.cos(theta)
-
     def normals(self, n: int) -> np.ndarray:
-        """``n`` successive :meth:`gauss` values, bit for bit, as one array;
-        the generator is left exactly as those calls would leave it."""
-        out = np.empty(n)
-        start = 0
-        if n and self._gauss_spare is not None:
-            out[0] = self._gauss_spare
-            self._gauss_spare = None
-            start = 1
-        pairs = (n - start + 1) // 2
-        if pairs:
-            u = (self._next_u64_block(2 * pairs) >> np.uint64(11)) * (1.0 / (1 << 53))
-            u1, u2 = u[0::2], u[1::2]
-            u1[u1 == 0.0] = 2.0 ** -53
-            radius = np.sqrt(-2.0 * libm_map(math.log, u1))
-            theta = 2.0 * math.pi * u2
-            values = np.empty(2 * pairs)
-            values[0::2] = radius * libm_map(math.cos, theta)
-            values[1::2] = radius * libm_map(math.sin, theta)
-            out[start:] = values[: n - start]
-            if (n - start) % 2:
-                self._gauss_spare = float(values[-1])
-        return out
+        """``n`` standard normals by Box-Muller from the next 2*ceil(n/2) outputs:
+        pair k reads outputs 2k, 2k+1 as uniforms u1 (0 nudged to 2**-53), u2 and
+        gives r cos(theta), r sin(theta) with r = sqrt(-2 ln u1), theta = 2 pi u2.
+        An odd ``n`` drops the last sine, so no value depends on an earlier call."""
+        u = (self._next_u64_block(2 * ((n + 1) // 2)) >> np.uint64(11)) * (1.0 / (1 << 53))
+        u1, u2 = u[0::2], u[1::2]
+        u1[u1 == 0.0] = 2.0 ** -53
+        radius = np.sqrt(-2.0 * libm_map(math.log, u1))
+        theta = 2.0 * math.pi * u2
+        values = np.empty(u.size)
+        values[0::2] = radius * libm_map(math.cos, theta)
+        values[1::2] = radius * libm_map(math.sin, theta)
+        return values[:n]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

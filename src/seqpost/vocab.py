@@ -75,11 +75,16 @@ def parse_actions(pairs) -> tuple[Action, ...]:
 
 def json_numbers(obj: dict, key: str) -> np.ndarray:
     """``obj[key]`` as a float64 array of JSON numbers. The array is first
-    built without a dtype, so a string (``"1.5"``), a null, an array of
-    booleans or an integer literal too large for 64 bits is refused rather
-    than converted; a boolean among numbers still converts to 0 or 1."""
-    values = np.array(obj[key])
+    built without a dtype, so a string (``"1.5"``), a null, a boolean or an
+    integer literal too large for 64 bits is refused rather than converted."""
+    raw = obj[key]
+    values = np.array(raw)
     if values.dtype.kind not in "fi":
+        raise ValueError(f"{key} must be JSON numbers")
+    # numpy reads true and false among numbers as 1 and 0, so only the
+    # entries equal to 0 or 1 need a look at the decoded value
+    zero_or_one = (values == 0) | (values == 1)
+    if zero_or_one.any() and any(type(item) is bool for item in np.array(raw, dtype=object)[zero_or_one]):
         raise ValueError(f"{key} must be JSON numbers")
     return values.astype(np.float64, copy=False)
 
@@ -157,12 +162,17 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, dict]]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
 
 
-def iter_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[T]:
-    """``parse`` applied to each record of a JSONL file, one record at a time;
-    a record it rejects raises ValueError naming ``path:lineno``."""
+def iter_numbered_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[tuple[int, T]]:
+    """(lineno, ``parse`` of the record) for each record of a JSONL file, one
+    record at a time; a record it rejects raises ValueError naming ``path:lineno``."""
     for lineno, obj in iter_jsonl(path):
         try:
             record = parse(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
-        yield record
+        yield lineno, record
+
+
+def iter_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[T]:
+    """The records of :func:`iter_numbered_records`, without their line numbers."""
+    return (record for _, record in iter_numbered_records(path, parse, kind))

@@ -5,6 +5,7 @@ with the package proper.
 """
 
 import json
+import math
 from functools import lru_cache
 
 import mpmath
@@ -106,11 +107,27 @@ def choice_from_cdf_walk(rng, probs):
     return max((i for i, p in enumerate(probs) if p > 0), default=0)
 
 
+def gauss_draws(rng):
+    """Standard normals from ``rng``, one at a time, by scalar Box-Muller:
+    each pair reads two uniforms u1 (0 nudged to 2**-53) and u2, then yields
+    r*cos(theta) and, on the next call, r*sin(theta). ``n`` values taken from
+    a fresh generator are ``rng.normals(n)``, and leave ``rng`` where it does."""
+    while True:
+        u1 = rng.uniform()
+        u2 = rng.uniform()
+        if u1 == 0.0:
+            u1 = 2.0 ** -53
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        yield radius * math.cos(theta)
+        yield radius * math.sin(theta)
+
+
 def corrupt_logits_loop(actions, sigma, scale, seed, c_verb, c_noun, stream=0):
     """(verb, noun) logits of ``synth.corrupt_to_logits_sized`` by a triple
-    loop: one scalar ``CounterRng.gauss()`` per entry, all verb entries
+    loop: one scalar ``gauss_draws`` value per entry, all verb entries
     row-major, then all noun entries."""
-    rng = CounterRng(seed, stream=stream)
+    gauss = gauss_draws(CounterRng(seed, stream=stream))
     z = len(actions)
     verb_logits = np.zeros((z, c_verb))
     noun_logits = np.zeros((z, c_noun))
@@ -120,7 +137,7 @@ def corrupt_logits_loop(actions, sigma, scale, seed, c_verb, c_noun, stream=0):
     for matrix in (verb_logits, noun_logits):
         for step in range(z):
             for c in range(matrix.shape[1]):
-                matrix[step, c] += sigma * rng.gauss()
+                matrix[step, c] += sigma * next(gauss)
     return verb_logits, noun_logits
 
 

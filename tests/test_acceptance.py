@@ -26,7 +26,7 @@ from seqpost.rng import CounterRng
 from seqpost.synth import SynthConfig, run_refinement_experiment
 from seqpost.vocab import Action, ActionSequence, Vocabulary
 
-from oracles import all_sequences, recursive_edit_distance
+from oracles import all_sequences, gauss_draws, recursive_edit_distance
 from test_synth import sharpness_for_mass
 
 
@@ -67,11 +67,12 @@ def test_criterion_2_label_smoothing_invariants():
 
 def test_criterion_3_gradient_check():
     rng = CounterRng(33)
+    gauss = gauss_draws(rng)
     h = 1e-5
     feature_dim, z, c_verb, c_noun = 3, 2, 3, 4
     dataset = []
     for i in range(3):
-        features = np.array([rng.gauss() for _ in range(feature_dim)])
+        features = np.array([next(gauss) for _ in range(feature_dim)])
         actions = tuple(Action(rng.randint(c_verb), rng.randint(c_noun)) for _ in range(z))
         dataset.append((features, ActionSequence(f"e{i}", actions)))
 
@@ -101,11 +102,11 @@ def test_criterion_4_ensemble_identity_and_linearity():
     rng = CounterRng(44)
 
     def tensor(seed):
-        r = CounterRng(seed)
+        gauss = gauss_draws(CounterRng(seed))
         return LogitsTensor(
             "e",
-            np.array([[r.gauss() for _ in range(5)] for _ in range(4)]),
-            np.array([[r.gauss() for _ in range(7)] for _ in range(4)]),
+            np.array([[next(gauss) for _ in range(5)] for _ in range(4)]),
+            np.array([[next(gauss) for _ in range(7)] for _ in range(4)]),
         )
 
     for trial in range(20):

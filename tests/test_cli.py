@@ -382,10 +382,11 @@ def test_stats_vocabulary_of_the_wrong_kind_is_one_error_line(
      "noun_transition must be JSON numbers"),
     (lambda obj: obj["verb_given_noun"][1].__setitem__(0, None), "verb_given_noun must be JSON numbers"),
     (lambda obj: obj.update(noun_marginal=0.25), "noun_marginal has shape (), expected one entry per class"),
+    (lambda obj: obj["noun_transition"][2].__setitem__(1, False), "noun_transition must be JSON numbers"),
 ], ids=["missing_table", "short_table", "wrong_class_count", "NaN_entry", "Infinity_entry",
         "negative_entry", "numeric_fingerprint", "float_class_count", "boolean_add_k", "string_clamp",
         "missing_smoothing_key", "string_and_boolean_entries", "boolean_table", "boolean_rows",
-        "null_entry", "scalar_marginal"])
+        "null_entry", "scalar_marginal", "boolean_among_numbers"])
 def test_malformed_stats_is_one_error_line(workspace, capsys, corrupt, message):
     assert _build_stats(workspace) == 0
     obj = json.loads((workspace / "stats.json").read_text())
@@ -577,7 +578,8 @@ def test_eval_duplicate_prediction_id_is_one_error_line(workspace, capsys):
     assert code == 1
     err = capsys.readouterr().err
     example_id = json.loads(lines[0])["example_id"]
-    assert err == f"error: duplicate example_id {example_id!r} in the predictions\n"
+    assert err == (f"error: {workspace / 'dup.jsonl'}:{len(lines) + 1}: "
+                   f"duplicate example_id {example_id!r} in the predictions\n")
     assert not (workspace / "dup_report.json").exists()
 
 
@@ -948,8 +950,10 @@ def test_train_step_count_differing_from_the_first_record_names_the_episode(work
     assert not (workspace / "ckpt.json").exists()
 
 
-@pytest.mark.parametrize("features", [3, None, [[1.0], [0.0]], ["1", 0.0], [True, 0.0], [1.0, math.nan]],
-                         ids=["scalar", "null", "nested", "string", "bool", "nan"])
+@pytest.mark.parametrize("features", [3, None, [[1.0], [0.0]], ["1", 0.0], [True, 0.0], [1.0, math.nan],
+                                      [0.5, False], [[1.0], [0.0, 2.0]]],
+                         ids=["scalar", "null", "nested", "string", "bool", "nan", "bool_among_numbers",
+                              "ragged"])
 def test_train_features_not_a_finite_number_list_is_one_error_line(workspace, capsys, features):
     rows = [
         {"features": [1.0, 0.0], "actions": [[0, 1], [1, 0]]},
@@ -964,9 +968,10 @@ def test_train_features_not_a_finite_number_list_is_one_error_line(workspace, ca
 
 
 @pytest.mark.parametrize("truth, patterns, message", [
-    ([], [[]], "truth has no actions"),
-    ([[0, 0]], [], "prediction has no patterns"),
-], ids=["empty_truth", "no_patterns"])
+    ([], [[]], "{truth}: example 'e': truth has no actions"),
+    ([[0, 0]], [], "{preds}:1: bad prediction record: example 'e': prediction has no patterns"),
+    ([[0, 0], [1, 1]], [[[0, 0]]], "{preds}:1: example 'e': pattern 0 has length 1, truth has length 2"),
+], ids=["empty_truth", "no_patterns", "pattern_length"])
 def test_eval_empty_truth_or_patterns_is_one_error_line(tmp_path, capsys, truth, patterns, message):
     (tmp_path / "truth.jsonl").write_text(json.dumps({"episode_id": "e", "actions": truth}) + "\n")
     (tmp_path / "preds.jsonl").write_text(
@@ -977,7 +982,8 @@ def test_eval_empty_truth_or_patterns_is_one_error_line(tmp_path, capsys, truth,
         "--truth", str(tmp_path / "truth.jsonl"), "--out", str(tmp_path / "report.json"),
     ])
     assert code == 1
-    assert capsys.readouterr().err == f"error: example 'e': {message}\n"
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("truth", "preds")}
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     assert not (tmp_path / "report.json").exists()
 
 
@@ -1281,8 +1287,9 @@ def test_eval_tiers_not_one_known_name_per_pattern_is_one_error_line(tmp_path, c
 
 
 @pytest.mark.parametrize("verb_logits", [[["1.5", True]], [["1.5", 0.5]], [[True, False]], [[None, 1.0]],
-                                         [[10 ** 30, 1.0]]],
-                         ids=["string_and_bool", "string", "bools", "null", "int_beyond_64_bits"])
+                                         [[10 ** 30, 1.0]], [[1.5, True]], [[2, False]]],
+                         ids=["string_and_bool", "string", "bools", "null", "int_beyond_64_bits",
+                              "bool_among_floats", "bool_among_ints"])
 def test_logits_that_are_not_json_numbers_are_one_error_line(tmp_path, capsys, verb_logits):
     logits, out = tmp_path / "logits.jsonl", tmp_path / "out.jsonl"
     _write_lines(logits, [json.dumps({"example_id": "e", "verb_logits": verb_logits,

@@ -19,7 +19,7 @@ from seqpost.ensemble import softmax
 from seqpost.rng import CounterRng
 from seqpost.vocab import Action, ActionSequence
 
-from oracles import cross_entropy_highprec
+from oracles import cross_entropy_highprec, gauss_draws
 
 
 def _onehot(i, c):
@@ -142,8 +142,8 @@ def test_forward_identity_weights():
 
 def test_forward_against_scalar_loop():
     dec = MultiHeadDecoder.init(4, 3, 3, 5, seed=9, init_scale=0.5)
-    rng = CounterRng(10)
-    features = np.array([rng.gauss() for _ in range(4)])
+    gauss = gauss_draws(CounterRng(10))
+    features = np.array([next(gauss) for _ in range(4)])
     verb_logits, _ = decoder_forward(dec, features)
     for z in range(3):
         for c in range(3):
@@ -162,9 +162,10 @@ def test_forward_dimension_mismatch():
 
 def _toy_dataset(n, feature_dim, z, c_verb, c_noun, seed):
     rng = CounterRng(seed)
+    gauss = gauss_draws(rng)
     dataset = []
     for i in range(n):
-        features = np.array([rng.gauss() for _ in range(feature_dim)])
+        features = np.array([next(gauss) for _ in range(feature_dim)])
         actions = tuple(Action(rng.randint(c_verb), rng.randint(c_noun)) for _ in range(z))
         dataset.append((features, ActionSequence(f"e{i}", actions)))
     return dataset
@@ -217,7 +218,7 @@ def test_smoothing_preserves_converged_argmax():
     """On a separable toy set both target styles should settle on the same
     per-step predicted classes."""
     feature_dim, z, c_verb, c_noun = 6, 3, 3, 3
-    rng = CounterRng(12)
+    gauss = gauss_draws(CounterRng(12))
     dataset = []
     # class pattern is a deterministic function of a cluster id baked into
     # the features, so the problem is linearly separable
@@ -225,7 +226,7 @@ def test_smoothing_preserves_converged_argmax():
         cluster = i % 3
         features = np.array(
             [3.0 if d == cluster else 0.0 for d in range(3)]
-            + [0.2 * rng.gauss() for _ in range(feature_dim - 3)]
+            + [0.2 * next(gauss) for _ in range(feature_dim - 3)]
         )
         actions = tuple(Action((cluster + t) % c_verb, (cluster + 2 * t) % c_noun) for t in range(z))
         dataset.append((features, ActionSequence(f"e{i}", actions)))
@@ -293,8 +294,9 @@ def test_checkpoint_whose_arrays_disagree_is_rejected(key, value, message):
         MultiHeadDecoder.from_json(json.dumps(obj))
 
 
-@pytest.mark.parametrize("value", [[["0.5", 0.0]] * 3, [[True, False]] * 3, [[None, 0.0]] * 3],
-                         ids=["string", "booleans", "null"])
+@pytest.mark.parametrize("value", [[["0.5", 0.0]] * 3, [[True, False]] * 3, [[None, 0.0]] * 3,
+                                   [[0.0, 0.0], [0.0, 0.0], [0.0, True]]],
+                         ids=["string", "booleans", "null", "boolean_among_numbers"])
 def test_checkpoint_arrays_must_be_json_numbers(value):
     obj = json.loads(MultiHeadDecoder.init(4, 3, 2, 5, seed=14).to_json())
     obj["verb_biases"] = value
@@ -322,12 +324,13 @@ def test_init_rejects_an_empty_dimension(sizes, name):
 
 @pytest.mark.parametrize("feature_dim, num_steps, c_verb, c_noun", [(3, 1, 3, 5), (5, 3, 7, 3), (1, 1, 1, 1)])
 def test_init_weights_equal_scalar_gauss_reference(feature_dim, num_steps, c_verb, c_noun):
-    # odd tensor sizes: the Box-Muller spare of the verb tensor starts the noun tensor
+    # odd tensor sizes: the noun tensor starts with the sine of the verb
+    # tensor's last Box-Muller pair
     decoder = MultiHeadDecoder.init(feature_dim, num_steps, c_verb, c_noun, seed=4, init_scale=0.05)
-    rng = CounterRng(4, stream=0xDEC0DE)
+    gauss = gauss_draws(CounterRng(4, stream=0xDEC0DE))
     for weights, c in ((decoder.verb_weights, c_verb), (decoder.noun_weights, c_noun)):
         shape = (num_steps, feature_dim, c)
-        flat = np.array([rng.gauss() for _ in range(int(np.prod(shape)))])
+        flat = np.array([next(gauss) for _ in range(int(np.prod(shape)))])
         assert weights.tobytes() == (0.05 * flat.reshape(shape)).tobytes()
 
 

@@ -16,13 +16,13 @@ from seqpost.ensemble import (
 )
 from seqpost.rng import CounterRng
 
-from oracles import softmax_highprec
+from oracles import gauss_draws, softmax_highprec
 
 
 def _random_tensor(seed, example_id="e0", z=4, c_verb=3, c_noun=5):
-    rng = CounterRng(seed)
-    verb = np.array([[rng.gauss() for _ in range(c_verb)] for _ in range(z)])
-    noun = np.array([[rng.gauss() for _ in range(c_noun)] for _ in range(z)])
+    gauss = gauss_draws(CounterRng(seed))
+    verb = np.array([[next(gauss) for _ in range(c_verb)] for _ in range(z)])
+    noun = np.array([[next(gauss) for _ in range(c_noun)] for _ in range(z)])
     return LogitsTensor(example_id, verb, noun)
 
 

@@ -223,6 +223,26 @@ def test_evaluate_corpus_duplicate_truth_id_errors():
         evaluate_corpus([preds], truths)
 
 
+def test_prediction_set_needs_a_pattern():
+    with pytest.raises(ValueError, match="^example 'e': prediction has no patterns$"):
+        PredictionSet("e", (), ())
+
+
+@pytest.mark.parametrize("truths, message", [
+    ([ActionSequence("e", ())], "example 'e': truth has no actions"),
+    ([ActionSequence("e", (Action(0, 0),)), ActionSequence("e", (Action(0, 0),))],
+     "duplicate example_id 'e' in the truth"),
+], ids=["empty", "duplicate"])
+def test_evaluate_corpus_checks_the_truths_before_reading_a_prediction(truths, message):
+    """An empty truth is refused even when no prediction is matched with it."""
+    def unread():
+        raise AssertionError("a prediction was read")
+        yield
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate_corpus(unread(), truths)
+
+
 # -- the bit-parallel edit distance against the scalar oracle ---------------
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqpost.rng import NORMAL_BOUND, CounterRng
 
-from oracles import choice_from_cdf_walk
+from oracles import choice_from_cdf_walk, gauss_draws
 
 
 def test_known_values_frozen():
@@ -34,10 +36,9 @@ def test_uniform_range_and_mean():
 
 
 def test_gauss_moments():
-    rng = CounterRng(3)
-    draws = [rng.gauss() for _ in range(20000)]
-    mean = sum(draws) / len(draws)
-    var = sum((d - mean) ** 2 for d in draws) / len(draws)
+    draws = CounterRng(3).normals(20000)
+    mean = draws.mean()
+    var = ((draws - mean) ** 2).mean()
     assert abs(mean) < 0.03
     assert abs(var - 1.0) < 0.05
 
@@ -95,25 +96,43 @@ def test_block_uniforms_equal_scalar_uniforms(seed, stream, skip, m):
     assert block.next_u64() == scalar.next_u64()
 
 
-def _state(rng):
-    spare = rng._gauss_spare
-    return rng._counter, None if spare is None else spare.hex()
+def _oracle(rng, n):
+    return np.array(list(itertools.islice(gauss_draws(rng), n)), dtype=np.float64)
+
+
+def test_normals_equal_the_box_muller_oracle_for_every_n_up_to_257():
+    expected = _oracle(CounterRng(8, stream=3), 257)
+    for n in range(258):
+        rng = CounterRng(8, stream=3)
+        values = rng.normals(n)
+        assert values.dtype == np.float64 and values.shape == (n,)
+        assert values.tobytes() == expected[:n].tobytes(), n
+        assert rng._counter == 2 * ((n + 1) // 2), n
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(0, 257), st.booleans())
-def test_normals_equal_successive_gauss_calls(seed, stream, n, pending_spare):
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(0, 40), st.integers(0, 257),
+       st.integers(0, 257))
+def test_normals_equal_the_box_muller_oracle(seed, stream, skip, m, n):
+    """After ``skip`` outputs and a first call of any size, odd ones included,
+    a second call reads on from the counter alone."""
     block, scalar = CounterRng(seed, stream), CounterRng(seed, stream)
-    if pending_spare:
-        block.gauss()
-        scalar.gauss()
-    values = block.normals(n)
-    assert values.dtype == np.float64 and values.shape == (n,)
-    assert values.tobytes() == np.array([scalar.gauss() for _ in range(n)], dtype=np.float64).tobytes()
-    assert _state(block) == _state(scalar)
+    for rng in (block, scalar):
+        for _ in range(skip):
+            rng.next_u64()
+    first = block.normals(m)
+    assert first.tobytes() == _oracle(scalar, m).tobytes()
+    assert block._counter == scalar._counter == skip + 2 * ((m + 1) // 2)
+    assert block.normals(n).tobytes() == _oracle(scalar, n).tobytes()
     assert block.uniform().hex() == scalar.uniform().hex()
-    assert block.gauss().hex() == scalar.gauss().hex()
-    assert _state(block) == _state(scalar)
+
+
+def test_the_generator_holds_no_state_but_its_counter():
+    rng = CounterRng(0)
+    assert set(vars(rng)) == {"_base", "_counter"}
+    rng.normals(3)
+    assert set(vars(rng)) == {"_base", "_counter"}
+    assert rng.normals(2).tobytes() == _oracle(CounterRng(0), 6)[4:].tobytes()
 
 
 class _Scripted(CounterRng):
@@ -135,8 +154,7 @@ class _Scripted(CounterRng):
 def test_normals_keep_the_zero_uniform_nudge():
     # u1 == 0 (an output below 2**11) takes the nudged log(2**-53) on both paths
     outputs = [0, 2**63, 2**11 - 1, 0, 2**64 - 1, 2**64 - 1]
-    scalar = _Scripted(outputs)
-    expected = np.array([scalar.gauss() for _ in range(5)])
+    expected = _oracle(_Scripted(outputs), 5)
     values = _Scripted(outputs).normals(5)
     assert np.isfinite(values).all()
     assert values.tobytes() == expected.tobytes()

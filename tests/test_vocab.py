@@ -1,11 +1,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from seqpost.cooc import corpus_fingerprint
 from seqpost.refine import PredictionSet
-from seqpost.vocab import Action, ActionSequence, Vocabulary, validate_sequence
+from seqpost.vocab import Action, ActionSequence, Vocabulary, json_numbers, validate_sequence
 
 
 @pytest.fixture
@@ -114,3 +115,15 @@ def test_validate_raises_the_first_fault_in_step_order(vocabs):
         with pytest.raises(ValueError) as exc:
             validate_sequence(ActionSequence("e", actions), len(vv), len(nv))
         assert str(exc.value) == f"episode 'e': {message}"
+
+
+@pytest.mark.parametrize("values", [[[0.5, 1.0], [2.0, True]], [[0, 3], [False, 2]], [[[1.0, 0.0, False]]]])
+def test_json_numbers_refuses_a_boolean_anywhere(values):
+    with pytest.raises(ValueError, match="^x must be JSON numbers$"):
+        json_numbers({"x": json.loads(json.dumps(values))}, "x")
+
+
+def test_json_numbers_keeps_zeros_and_ones_that_are_numbers():
+    values = json_numbers(json.loads('{"x": [[0, 1, 0.0], [1.0, -0.0, 2]]}'), "x")
+    assert values.dtype == np.float64
+    assert values.tolist() == [[0.0, 1.0, 0.0], [1.0, -0.0, 2.0]]
