@@ -36,7 +36,7 @@ from .ensemble import (
     softmax_rows,
     weighted_sum,
 )
-from .metric import evaluate_corpus
+from .metric import evaluate_corpus, index_truths
 # load_predictions is not called here, but perfbench/tracing.py wraps it by
 # this name in this module, so it stays imported.
 from .refine import (  # noqa: F401
@@ -193,6 +193,10 @@ def _sweep(args) -> None:
     if len(a_list) != len(b_list):
         raise ValueError(f"logits files differ in length: {len(a_list)} vs {len(b_list)}")
     truths = load_corpus(args.truth)
+    try:
+        index_truths(truths)  # checked once, before the grid, so that a fault names the file
+    except ValueError as exc:
+        raise ValueError(f"{args.truth}: {exc}") from exc
     ids, ends, (a_verb, a_noun), (b_verb, b_noun) = _stack_pairs(args.logits_a, a_list, b_list)
     del a_list, b_list  # only the stacks are used from here on
     starts = [0, *ends[:-1]]
@@ -272,7 +276,8 @@ def cmd_refine(args) -> list[str]:
     for i, tensor in enumerate(tensors):
         if tensor.num_steps != args.z:
             raise ValueError(
-                f"example {tensor.example_id!r} has {tensor.num_steps} steps, expected {args.z}"
+                f"{args.logits}: example {tensor.example_id!r} has {tensor.num_steps} steps, "
+                f"expected {args.z}"
             )
         classes = (tensor.verb_logits.shape[1], tensor.noun_logits.shape[1])
         if stats is not None and classes != (stats.c_verb, stats.c_noun):

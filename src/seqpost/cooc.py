@@ -155,29 +155,35 @@ class CoocStats:
 
 # The array fields of CoocStats, in the order the stats file lists them.
 _TABLES = ("verb_marginal", "noun_marginal", "verb_transition", "noun_transition", "verb_given_noun")
+# Rows of a table that the stats writer and the score-table build take at a
+# time, so that neither makes a table-sized temporary.
+_BLOCK_ROWS = 64
 
 
 def _table_json(table: np.ndarray) -> Iterator[str]:
     """The JSON text of a 1-D or 2-D float table, as
     ``json.dumps(table.tolist())`` spells it, in pieces of at most one row.
-    Entries are deduplicated on their bits, so -0.0 and 0.0 keep their own
-    spellings."""
-    bits = np.ascontiguousarray(table, dtype=np.float64).view(np.uint64)
-    distinct = np.unique(bits)
-    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    # each entry's index into ``distinct``, in the table's shape; np.unique's
-    # return_inverse gives the same but holds several table-sized temporaries
-    inverse = distinct.searchsorted(bits)
-    if table.ndim == 1:
-        yield "["
-        yield ", ".join(texts[inverse].tolist())
-        yield "]"
-        return
+    Entries are deduplicated on their bits, a block of ``_BLOCK_ROWS`` rows at
+    a time, and each distinct value is spelled by ``repr`` once per table, so
+    -0.0 and 0.0 keep their own spellings."""
+    rows = np.atleast_2d(np.ascontiguousarray(table, dtype=np.float64))
+    # a 1-D table is one row, with no brackets of its own
+    opening, closing = ("[", "]") if table.ndim == 2 else ("", "")
+    texts: dict[int, str] = {}
     yield "["
-    for i, row in enumerate(inverse):
-        yield ", [" if i else "["
-        yield ", ".join(texts[row].tolist())
-        yield "]"
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        bits = rows[start:start + _BLOCK_ROWS].view(np.uint64)
+        distinct = np.unique(bits)
+        keys = distinct.tolist()
+        for key, value in zip(keys, distinct.view(np.float64).tolist()):
+            if key not in texts:
+                texts[key] = repr(value)
+        spelled = np.array([texts[key] for key in keys], dtype=object)
+        # searchsorted, as np.unique's return_inverse holds more block-sized temporaries
+        for i, row in enumerate(spelled[distinct.searchsorted(bits)], start):
+            yield ", " + opening if i else opening
+            yield ", ".join(row.tolist())
+            yield closing
     yield "]"
 
 
@@ -362,24 +368,28 @@ def transition_score_row(
     """Indicator scores for all successor classes of ``prev`` on one axis.
 
     The first call for an ``(axis, mode)`` computes that pair's whole (C, C)
-    table; every call returns a read-only row view of it."""
+    table, ``_BLOCK_ROWS`` rows at a time; every call returns a read-only row
+    view of it."""
     rows = stats._score_rows.get((axis, mode))
     if rows is None:
         lo, hi = stats.smoothing.prob_clamp_min, stats.smoothing.prob_clamp_max
         marginal = stats.marginal(axis)
         transition = stats.transition(axis)
         clamped = np.clip(marginal, lo, hi)
-        # the table below is built in place, leaving one table-sized temporary
-        if mode is IndicatorMode.AS_WRITTEN:
-            log_num = np.clip(transition, lo, hi)
-        else:
-            log_num = transition * marginal[:, None]
-            np.clip(log_num, lo, hi, out=log_num)
-        np.log(log_num, out=log_num)
-        table = np.multiply.outer(clamped, clamped)
-        np.log(table, out=table)
-        np.subtract(log_num, table, out=table)
-        np.divide(table, np.negative(log_num, out=log_num), out=table)
+        table = np.empty(transition.shape)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            out = table[block]
+            if mode is IndicatorMode.AS_WRITTEN:
+                log_num = np.clip(transition[block], lo, hi)
+            else:
+                log_num = transition[block] * marginal[block, None]
+                np.clip(log_num, lo, hi, out=log_num)
+            np.log(log_num, out=log_num)
+            np.multiply.outer(clamped[block], clamped, out=out)
+            np.log(out, out=out)
+            np.subtract(log_num, out, out=out)
+            np.divide(out, np.negative(log_num, out=log_num), out=out)
         table.flags.writeable = False
         rows = stats._score_rows[(axis, mode)] = list(table)
     return rows[prev]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .refine import PredictionSet
 from .vocab import Action, ActionSequence
@@ -116,6 +116,19 @@ class EvalReport:
         return json.dumps(obj)
 
 
+def index_truths(truths: Iterable[ActionSequence]) -> dict[str, ActionSequence]:
+    """Each truth by its episode id; an id given twice, or a truth with no
+    actions, is a ValueError."""
+    truth_by_id: dict = {}
+    for truth in truths:
+        if truth.episode_id in truth_by_id:
+            raise ValueError(f"duplicate example_id {truth.episode_id!r} in the truth")
+        if not truth.actions:
+            raise ValueError(f"example {truth.episode_id!r}: truth has no actions")
+        truth_by_id[truth.episode_id] = truth
+    return truth_by_id
+
+
 def evaluate_corpus(
     pred_sets: list[PredictionSet],
     truths: list[ActionSequence],
@@ -129,13 +142,7 @@ def evaluate_corpus(
     input are errors. The truths are checked before the first prediction is
     read, so a fault found while scoring a prediction is that prediction's.
     """
-    truth_by_id: dict = {}
-    for truth in truths:
-        if truth.episode_id in truth_by_id:
-            raise ValueError(f"duplicate example_id {truth.episode_id!r} in the truth")
-        if not truth.actions:
-            raise ValueError(f"example {truth.episode_id!r}: truth has no actions")
-        truth_by_id[truth.episode_id] = truth
+    truth_by_id = index_truths(truths)
     seen: set = set()
     per_example: list[dict] = []
     sums = {"verb": 0.0, "noun": 0.0, "action": 0.0}

@@ -181,8 +181,8 @@ def stats_from_whole_text(text):
 
 
 def score_table(stats, axis, mode):
-    """The (C, C) indicator table of one axis as one array expression, as the
-    package computed it before building it in place."""
+    """The (C, C) indicator table of one axis as one array expression over
+    the whole table, where the package builds it a block of rows at a time."""
     lo, hi = stats.smoothing.prob_clamp_min, stats.smoothing.prob_clamp_max
     marginal = stats.marginal(axis)
     transition = stats.transition(axis)

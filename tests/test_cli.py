@@ -510,6 +510,15 @@ def test_logits_wider_than_stats_rejected_at_load(workspace, capsys):
     assert not (workspace / "x.jsonl").exists()
 
 
+def test_logits_with_other_step_count_is_one_error_line(tmp_path, capsys):
+    logits, out = tmp_path / "logits.jsonl", tmp_path / "out.jsonl"
+    dump_logits([LogitsTensor("e0", np.zeros((3, 2)), np.zeros((3, 4)))], str(logits))
+    assert main(["refine", "--quiet", "--logits", str(logits), "--z", "2", "--k", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {logits}: example 'e0' has 3 steps, expected 2\n"
+    assert not out.exists()
+
+
 def _synth_gen(ws, config):
     path = ws / "bad_synth.json"
     path.write_text(json.dumps(config))
@@ -1394,3 +1403,15 @@ def test_sweep_dev_record_with_other_class_counts_is_one_error_line(tmp_path, ca
         f"error: {paths[0]}: example 'dev1' has 3 verb and 5 noun classes, "
         "the first example 'dev0' has 3 and 4\n"
     )
+
+
+@pytest.mark.parametrize("truths, message", [
+    ([("dev0", [[0, 0]]), ("dev1", [[1, 1]]), ("dev0", [[2, 2]])], "duplicate example_id 'dev0' in the truth"),
+    ([("dev0", [[0, 0]]), ("dev1", [])], "example 'dev1': truth has no actions"),
+], ids=["duplicate_id", "empty_truth"])
+def test_sweep_truth_fault_names_the_truth_file(tmp_path, capsys, truths, message):
+    paths = _dev_split(tmp_path, 6, [2, 2])
+    _write_lines(paths[2], [json.dumps({"episode_id": episode_id, "actions": actions})
+                            for episode_id, actions in truths])
+    assert main(_sweep_argv(paths)) == 1
+    assert capsys.readouterr() == ("", f"error: {paths[2]}: {message}\n")

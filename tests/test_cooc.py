@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -322,7 +323,25 @@ def test_stats_json_equals_json_dumps_property(data):
     _assert_writes_json_dumps_and_reads_back(stats)
 
 
+# rows of a table that the stats writer and the score-table build take at a time
+BLOCK = seqpost.cooc._BLOCK_ROWS
+
+
+def _rows_across_blocks(rows):
+    """A (rows, 4) table whose first block holds -0.0 and 0.0, whose later
+    blocks hold 0.0 alone, with 1/3 in every row and (row % 5) / 5 recurring
+    within and across blocks."""
+    row = np.arange(rows, dtype=np.float64)[:, None]
+    return np.hstack([np.where(row < BLOCK, -0.0, 0.0), np.zeros((rows, 1)),
+                      np.full((rows, 1), 1 / 3), row % 5 / 5])
+
+
 @pytest.mark.parametrize("table", [
+    *(pytest.param(_rows_across_blocks(rows), id=f"{name}_rows")
+      for name, rows in (("1", 1), ("block-1", BLOCK - 1), ("block", BLOCK), ("block+1", BLOCK + 1),
+                         ("2block+1", 2 * BLOCK + 1))),
+    pytest.param(_rows_across_blocks(1)[0], id="1d_one_row"),
+    pytest.param(_rows_across_blocks(2 * BLOCK + 1).ravel(), id="1d_8block+4"),
     pytest.param([[0.0, -0.0, 0.5], [-0.0, 0.0, 0.5]], id="signed_zeros"),
     pytest.param([-0.0, 0.0, -0.0], id="signed_zeros_1d"),
     pytest.param([[5e-324, 1e-310], [2.225073858507201e-308, 2.2250738585072014e-308]],
@@ -564,6 +583,8 @@ def test_score_table_equals_whole_expression_bytewise(mode):
         # entries clamped at both ends take part
         for probs in (stats.marginal(axis), stats.transition(axis)):
             assert (np.clip(probs, lo, hi) == lo).any() and (np.clip(probs, lo, hi) == hi).any()
+        # the last block is a part block
+        assert classes > BLOCK and classes % BLOCK
         table = np.stack([transition_score_row(stats, prev, axis, mode) for prev in range(classes)])
         assert table.tobytes() == expected.tobytes()
 
@@ -587,8 +608,8 @@ def test_stats_load_peak_is_the_tables_not_the_text(tmp_path, lta_stats_text):
 
 @pytest.mark.parametrize("mode", IndicatorMode)
 def test_first_score_row_call_peaks_at_two_tables(lta_stats_text, mode):
-    """The first call on an axis builds its table in place: one table-sized
-    temporary beside the table."""
+    """The first call on an axis peaks at two tables, on the 115-verb axis
+    too, where one block of rows is more than half the table."""
     stats = CoocStats.from_json(lta_stats_text)
     for axis in ("noun", "verb"):
         tracemalloc.start()
@@ -599,3 +620,28 @@ def test_first_score_row_call_peaks_at_two_tables(lta_stats_text, mode):
         finally:
             tracemalloc.stop()
         assert peak <= 2 * stats.transition(axis).nbytes + 2**19, axis
+
+
+def test_writer_and_score_table_peaks_stay_block_sized(lta_stats_text):
+    """On a 478 x 478 noun table the stats writer peaks below the table's own
+    bytes, and one score table's build below one and a half times them: both
+    work a block of rows at a time."""
+    stats = CoocStats.from_json(lta_stats_text)
+    table_bytes = stats.noun_transition.nbytes
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as handle:
+            before = tracemalloc.get_traced_memory()[0]
+            stats.to_json(handle)
+            write_peak = tracemalloc.get_traced_memory()[1] - before
+        peaks = {}
+        for mode in IndicatorMode:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            transition_score_row(stats, 0, "noun", mode)
+            peaks[mode] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert write_peak < table_bytes
+    for mode, peak in peaks.items():
+        assert peak < 1.5 * table_bytes, mode

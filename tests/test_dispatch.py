@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import seqpost.cli
+import seqpost.cooc
 from test_decoder import pinned_train_rows
 
 NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
@@ -31,7 +32,9 @@ def _outputs(root: Path, disabled: str) -> dict[str, bytes]:
     root.mkdir()
     (root / "train.jsonl").write_text("".join(json.dumps(row) + "\n" for row in pinned_train_rows()))
     # 40 and 130 classes: the draws, counts and score rows run over rows wider
-    # than a SIMD vector, so numpy's vector loops, not only their tails, are used
+    # than a SIMD vector, so numpy's vector loops, not only their tails, are
+    # used, and the noun score table and stats rows span more than one block
+    assert 130 > seqpost.cooc._BLOCK_ROWS
     (root / "synth.json").write_text(json.dumps({"c_verb": 40, "c_noun": 130, "num_sequences": 20,
                                                  "seq_len": 6, "rng_seed": 3}))
     argvs = [
