@@ -217,7 +217,10 @@ def _sweep(args) -> None:
             actions = argmax_actions(softmax(verb), softmax(noun))
             preds = [PredictionSet(example_id, (tuple(actions[start:end]),), (TIER_RAW_ARGMAX,))
                      for example_id, start, end in zip(ids, starts, ends)]
-            report = evaluate_corpus(preds, truths)
+            try:
+                report = evaluate_corpus(preds, truths)
+            except ValueError as exc:  # the dev split against the truths, as for eval
+                raise ValueError(f"{args.logits_a}: {exc}") from exc
             key = (report.ed_action, report.ed_verb, report.ed_noun)
             if best is None or key < best[0]:
                 best = (key, alpha, beta)
@@ -254,8 +257,10 @@ def _stack_pairs(path_a: str, a_list: list[LogitsTensor], b_list: list[LogitsTen
 
 
 def cmd_refine(args) -> list[str]:
-    """Refine each example as it is read: only the predictions are held until
-    they are written, so memory does not grow with the logits files."""
+    """Refine each example as it is read. Memory holds one record per logits
+    file (and their combined logits), the stats and their score tables, and
+    the predictions, which are held until they are written; so it grows with
+    the number of examples only by their predictions."""
     if args.k >= 2 and not args.stats:
         raise ValueError("refinement (k >= 2) requires --stats")
     stats = None
@@ -337,8 +342,9 @@ def cmd_train(args) -> list[str]:
 def cmd_eval(args) -> list[str]:
     """Score each prediction as it is read. A fault found in the truths, which
     are checked first, names the truth file; one found in scoring a prediction
-    names its line; one found between records (a bad record, which names its
-    own line, or no matched example at the end) is raised as it is."""
+    names its line; a bad record names its own line; one found after the last
+    record (no matched example, or a truth with no prediction) names the
+    predictions file."""
     truths = load_corpus(args.truth)
     where = args.truth
 
@@ -349,6 +355,7 @@ def cmd_eval(args) -> list[str]:
             where = f"{args.preds}:{lineno}"
             yield preds
             where = None
+        where = args.preds
 
     try:
         report = evaluate_corpus(predictions(), truths, allow_transposition=not args.no_transposition,

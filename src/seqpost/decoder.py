@@ -22,7 +22,7 @@ import numpy as np
 
 from .ensemble import softmax
 from .rng import CounterRng
-from .vocab import ActionSequence, iter_jsonl, json_numbers, parse_actions, validate_sequence
+from .vocab import ActionSequence, iter_numbered_records, json_numbers, parse_actions, validate_sequence
 
 _LOG_FLOOR = 1e-12
 
@@ -230,23 +230,24 @@ def train(
     return dec, history
 
 
+def _training_record(obj: dict) -> tuple[np.ndarray, tuple]:
+    """A training line's (features, actions)."""
+    try:
+        features = json_numbers(obj, "features")
+    except ValueError:  # a non-number, or lists of unequal lengths
+        features = None
+    if features is None or features.ndim != 1 or not np.isfinite(features).all():
+        raise ValueError("features must be a 1-D list of finite numbers")
+    if not features.size:
+        raise ValueError("features must not be empty")
+    actions = parse_actions(obj["actions"])
+    if not actions:
+        raise ValueError("actions must not be empty")
+    return features, actions
+
+
 def load_train_dataset(path: str) -> list[tuple[np.ndarray, ActionSequence]]:
-    """JSONL rows {"features": [...], "actions": [[v, n], ...]}."""
-    dataset = []
-    for lineno, obj in iter_jsonl(path):
-        try:
-            try:
-                features = json_numbers(obj, "features")
-            except ValueError:  # a non-number, or lists of unequal lengths
-                features = None
-            if features is None or features.ndim != 1 or not np.isfinite(features).all():
-                raise ValueError("features must be a 1-D list of finite numbers")
-            if not features.size:
-                raise ValueError("features must not be empty")
-            actions = parse_actions(obj["actions"])
-            if not actions:
-                raise ValueError("actions must not be empty")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad training record: {exc}") from exc
-        dataset.append((features, ActionSequence(episode_id=f"line{lineno}", actions=actions)))
-    return dataset
+    """JSONL rows {"features": [...], "actions": [[v, n], ...]}; each row's
+    episode id is ``line<lineno>``."""
+    return [(features, ActionSequence(episode_id=f"line{lineno}", actions=actions))
+            for lineno, (features, actions) in iter_numbered_records(path, _training_record, "training")]

@@ -138,9 +138,11 @@ def evaluate_corpus(
     """Mean min-over-K normalized edit distance per axis over a corpus.
 
     Predictions whose example_id has no truth are counted as unmatched and
-    excluded; zero matched examples and an example_id repeated in either
-    input are errors. The truths are checked before the first prediction is
-    read, so a fault found while scoring a prediction is that prediction's.
+    excluded. Zero matched examples, a truth with no prediction (so leaving
+    out a hard example cannot lower the score) and an example_id repeated in
+    either input are errors. The truths are checked before the first
+    prediction is read, so a fault found while scoring a prediction is that
+    prediction's.
     """
     truth_by_id = index_truths(truths)
     seen: set = set()
@@ -164,6 +166,10 @@ def evaluate_corpus(
         per_example.append({"example_id": preds.example_id, **triple})
     if not per_example:
         raise ValueError("zero matched examples")
+    missing = [truth_id for truth_id in truth_by_id if truth_id not in seen]
+    if missing:
+        raise ValueError(f"{len(missing)} of {len(truth_by_id)} truth examples have no prediction "
+                         f"(first {missing[0]!r})")
     n = len(per_example)
     return EvalReport(
         ed_verb=sums["verb"] / n,

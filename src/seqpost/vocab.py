@@ -6,6 +6,7 @@ so ids line up with logit-array columns with no remapping.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
@@ -81,10 +82,12 @@ def json_numbers(obj: dict, key: str) -> np.ndarray:
     values = np.array(raw)
     if values.dtype.kind not in "fi":
         raise ValueError(f"{key} must be JSON numbers")
-    # numpy reads true and false among numbers as 1 and 0, so only the
-    # entries equal to 0 or 1 need a look at the decoded value
-    zero_or_one = (values == 0) | (values == 1)
-    if zero_or_one.any() and any(type(item) is bool for item in np.array(raw, dtype=object)[zero_or_one]):
+    # numpy reads true and false among numbers as 1 and 0, so an array with a 0 or a 1 has
+    # the types of its entries scanned in C; being regular, it has them all ndim lists deep
+    entries = [raw]
+    for _ in range(values.ndim):
+        entries = itertools.chain.from_iterable(entries)  # lazy: nothing is read here
+    if ((values == 0) | (values == 1)).any() and bool in set(map(type, entries)):
         raise ValueError(f"{key} must be JSON numbers")
     return values.astype(np.float64, copy=False)
 
@@ -145,32 +148,32 @@ def dump_corpus(corpus: Iterable[ActionSequence], path: str) -> None:
             handle.write(seq.to_json() + "\n")
 
 
-def iter_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    """Yield (lineno, parsed object) for each non-empty line of a JSONL file.
-    Each line is decoded on its own, so a non-UTF-8 byte names its own line."""
+def iter_numbered_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[tuple[int, T]]:
+    """(lineno, ``parse`` of the record) for each non-empty line of a JSONL file; a fault names
+    ``path:lineno``. Each form of a line is dropped once the next is made, so only the record is
+    held while the caller has it. ``enumerate``'s reused tuple would keep the last line's bytes."""
     with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, 1):
+        lineno = 0
+        for raw in handle:
+            lineno += 1
             try:
                 line = raw.decode().strip()
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+            del raw
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-
-
-def iter_numbered_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[tuple[int, T]]:
-    """(lineno, ``parse`` of the record) for each record of a JSONL file, one
-    record at a time; a record it rejects raises ValueError naming ``path:lineno``."""
-    for lineno, obj in iter_jsonl(path):
-        try:
-            record = parse(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
-        yield lineno, record
+            del line
+            try:
+                record = parse(obj)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
+            del obj
+            yield lineno, record
 
 
 def iter_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[T]:

@@ -217,6 +217,19 @@ def test_eval_unmatched_warning(workspace):
     assert json.loads((workspace / "partial.json").read_text())["unmatched"] == 1
 
 
+def test_eval_refuses_a_truth_with_no_prediction(workspace, capsys):
+    """Leaving a hard example out of the predictions cannot lower the score."""
+    truth, preds = workspace / "truth2.jsonl", workspace / "preds1.jsonl"
+    _write_lines(truth, [json.dumps({"episode_id": f"e{i}", "actions": [[0, 0]]}) for i in range(2)])
+    _write_lines(preds, [json.dumps({"example_id": "e0", "patterns": [[[0, 0]]], "tiers": ["raw_argmax"]})])
+    assert main(["eval", "--quiet", "--preds", str(preds), "--truth", str(truth),
+                 "--out", str(workspace / "out.jsonl")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {preds}: 1 of 2 truth examples have no prediction (first 'e1')\n"
+    )
+    _assert_no_output(workspace)
+
+
 def test_eval_per_example_consistent(workspace):
     assert _build_stats(workspace) == 0
     assert _run_pipeline(workspace, "preds.jsonl") == 0
@@ -1415,3 +1428,13 @@ def test_sweep_truth_fault_names_the_truth_file(tmp_path, capsys, truths, messag
                             for episode_id, actions in truths])
     assert main(_sweep_argv(paths)) == 1
     assert capsys.readouterr() == ("", f"error: {paths[2]}: {message}\n")
+
+
+def test_sweep_refuses_a_truth_with_no_dev_example(tmp_path, capsys):
+    paths = _dev_split(tmp_path, 7, [2, 2])
+    with open(paths[2], "a") as handle:
+        handle.write(json.dumps({"episode_id": "extra", "actions": [[0, 0], [1, 1]]}) + "\n")
+    assert main(_sweep_argv(paths)) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {paths[0]}: 1 of 3 truth examples have no prediction (first 'extra')\n"
+    )

@@ -202,6 +202,13 @@ def test_evaluate_corpus_zero_matched_errors():
         evaluate_corpus([preds], [_truth([(0, 0)], "other")])
 
 
+def test_evaluate_corpus_refuses_a_truth_with_no_prediction():
+    truths = [_truth([(0, 0)], f"e{i}") for i in range(3)]
+    perfect = PredictionSet("e1", (_pattern([(0, 0)]),), ("raw_argmax",))
+    with pytest.raises(ValueError, match=r"^2 of 3 truth examples have no prediction \(first 'e0'\)$"):
+        evaluate_corpus([perfect], truths)
+
+
 def test_report_json_fields():
     report = EvalReport(0.1, 0.2, 0.3, n_examples=4, unmatched=1)
     obj = __import__("json").loads(report.to_json())

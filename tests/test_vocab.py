@@ -1,12 +1,15 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from seqpost.cooc import corpus_fingerprint
 from seqpost.refine import PredictionSet
-from seqpost.vocab import Action, ActionSequence, Vocabulary, json_numbers, validate_sequence
+from seqpost.vocab import (
+    Action, ActionSequence, Vocabulary, iter_numbered_records, json_numbers, validate_sequence,
+)
 
 
 @pytest.fixture
@@ -117,7 +120,16 @@ def test_validate_raises_the_first_fault_in_step_order(vocabs):
         assert str(exc.value) == f"episode 'e': {message}"
 
 
-@pytest.mark.parametrize("values", [[[0.5, 1.0], [2.0, True]], [[0, 3], [False, 2]], [[[1.0, 0.0, False]]]])
+def _zero_heavy_with_true():
+    """A 60 x 60 table of zeros, a few other numbers and one true near its end."""
+    table = [[0] * 60 for _ in range(60)]
+    table[3][7], table[41][0], table[59][58] = 0.25, 1, True
+    return table
+
+
+@pytest.mark.parametrize("values", [
+    [[0.5, 1.0], [2.0, True]], [[0, 3], [False, 2]], [[[1.0, 0.0, False]]], _zero_heavy_with_true(),
+])
 def test_json_numbers_refuses_a_boolean_anywhere(values):
     with pytest.raises(ValueError, match="^x must be JSON numbers$"):
         json_numbers({"x": json.loads(json.dumps(values))}, "x")
@@ -127,3 +139,45 @@ def test_json_numbers_keeps_zeros_and_ones_that_are_numbers():
     values = json_numbers(json.loads('{"x": [[0, 1, 0.0], [1.0, -0.0, 2]]}'), "x")
     assert values.dtype == np.float64
     assert values.tolist() == [[0.0, 1.0, 0.0], [1.0, -0.0, 2.0]]
+
+
+def test_reader_names_each_fault_by_its_line_and_counts_blank_lines(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"n": 1}\n\n  \n{"n": 2}\n')
+
+    def parse(obj):
+        return obj["n"]
+
+    assert list(iter_numbered_records(str(path), parse, "test")) == [(1, 1), (4, 2)]
+    for line, message in [
+        (b'{"n": "caf\xe9"}', "not UTF-8: "),
+        (b'{"n": 3', "invalid JSON: "),
+        (b'{"m": 3}', "bad test record: 'n'"),
+    ]:
+        path.write_bytes(b'{"n": 1}\n\n' + line + b"\n")
+        records = iter_numbered_records(str(path), parse, "test")
+        assert next(records) == (1, 1)
+        with pytest.raises(ValueError) as excinfo:
+            next(records)
+        assert str(excinfo.value).startswith(f"{path}:3: {message}")
+
+
+def test_reader_holds_only_the_record_while_the_caller_has_it(tmp_path):
+    """While the caller has a record, the suspended reader keeps neither the
+    line's bytes, nor its text, nor its parsed object: an ``enumerate`` tuple
+    or a name bound to any of them would keep about a line's worth or more."""
+    path = tmp_path / "wide.jsonl"
+    line = json.dumps({"x": np.random.default_rng(0).normal(size=50_000).tolist()}) + "\n"
+    path.write_text(line * 2)
+    assert len(line) > 1_000_000
+    records = iter_numbered_records(str(path), lambda obj: len(obj["x"]), "wide")
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for lineno in (1, 2):
+            assert next(records) == (lineno, 50_000)
+            held = tracemalloc.get_traced_memory()[0] - baseline
+            assert held < 0.1 * len(line), f"line {lineno}: {held} bytes held"
+    finally:
+        tracemalloc.stop()
+        records.close()
