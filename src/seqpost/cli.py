@@ -163,23 +163,32 @@ def cmd_ensemble(args) -> list[str]:
         _sweep(args)
         return []
 
-    combined = [combine_logits(a, b, weights) for a, b in _logits_pairs(args.logits_a, args.logits_b)]
+    combined = list(_combined_logits(args.logits_a, args.logits_b, weights))
     dump_logits(combined, args.out)
     _say(args, f"{len(combined)} examples combined (alpha={args.alpha}, beta={args.beta}) -> {args.out}")
     return [args.out]
 
 
-def _logits_pairs(path_a: str, path_b: str) -> Iterator[tuple[LogitsTensor, LogitsTensor]]:
-    """The records of two logits files read in lockstep, one pair at a time.
-    Files of different lengths are a ValueError giving both record counts, so
-    the rest of the longer file is read to count it."""
+def _combined_logits(path_a: str, path_b: str, weights: EnsembleWeights) -> Iterator[LogitsTensor]:
+    """The combined logits of two logits files read in lockstep, one example
+    at a time; nothing of an example is held here once the caller asks for
+    the next. Files of different lengths are a ValueError giving both record
+    counts, so the rest of the longer file is read to count it."""
     a_records, b_records = iter_logits(path_a), iter_logits(path_b)
-    for n, (a, b) in enumerate(itertools.zip_longest(a_records, b_records)):
+    n = 0
+    while True:
+        a, b = next(a_records, None), next(b_records, None)
         if a is None or b is None:
-            rest = 1 + sum(1 for _ in (b_records if a is None else a_records))
-            n_a, n_b = (n, n + rest) if a is None else (n + rest, n)
-            raise ValueError(f"logits files differ in length: {n_a} vs {n_b}")
-        yield a, b
+            break
+        combined = combine_logits(a, b, weights)
+        del a, b
+        n += 1
+        yield combined
+        del combined
+    if a is not None or b is not None:
+        rest = 1 + sum(1 for _ in (b_records if a is None else a_records))
+        n_a, n_b = (n, n + rest) if a is None else (n + rest, n)
+        raise ValueError(f"logits files differ in length: {n_a} vs {n_b}")
 
 
 def _sweep(args) -> None:
@@ -267,8 +276,7 @@ def cmd_refine(args) -> list[str]:
     if args.stats:
         stats = _load_file(args.stats, CoocStats.from_json, "stats")
     if args.logits_b:
-        weights = EnsembleWeights(alpha=args.alpha, beta=args.beta)
-        tensors = (combine_logits(a, b, weights) for a, b in _logits_pairs(args.logits, args.logits_b))
+        tensors = _combined_logits(args.logits, args.logits_b, EnsembleWeights(alpha=args.alpha, beta=args.beta))
     else:
         tensors = iter_logits(args.logits)
 
@@ -278,7 +286,8 @@ def cmd_refine(args) -> list[str]:
         mode=IndicatorMode(args.mode),
     )
     pred_sets = []
-    for i, tensor in enumerate(tensors):
+    stream = 0  # counted here, as enumerate's reused tuple would hold the last example
+    for tensor in tensors:
         if tensor.num_steps != args.z:
             raise ValueError(
                 f"{args.logits}: example {tensor.example_id!r} has {tensor.num_steps} steps, "
@@ -290,8 +299,9 @@ def cmd_refine(args) -> list[str]:
                 f"{args.logits}: example {tensor.example_id!r} has {classes[0]} verb and "
                 f"{classes[1]} noun classes, {args.stats} has {stats.c_verb} and {stats.c_noun}"
             )
-        dists = softmax_rows(tensor)
-        pred_sets.append(generate_patterns(dists, stats, pred_cfg, stream=i))
+        pred_sets.append(generate_patterns(softmax_rows(tensor), stats, pred_cfg, stream=stream))
+        stream += 1
+        del tensor  # freed before the next example is read
     dump_predictions(pred_sets, args.out)
     _say(args, f"{len(pred_sets)} examples -> {args.out} (Z={args.z}, K={args.k}, seed={args.seed})")
     return [args.out]

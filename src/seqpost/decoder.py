@@ -22,7 +22,9 @@ import numpy as np
 
 from .ensemble import softmax
 from .rng import CounterRng
-from .vocab import ActionSequence, iter_numbered_records, json_numbers, parse_actions, validate_sequence
+from .vocab import (
+    ActionSequence, iter_numbered_records, json_number_text, json_numbers, parse_actions, validate_sequence,
+)
 
 _LOG_FLOOR = 1e-12
 
@@ -99,16 +101,11 @@ class MultiHeadDecoder:
         return MultiHeadDecoder(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "feature_dim": self.feature_dim,
-                "num_steps": self.num_steps,
-                "verb_weights": self.verb_weights.tolist(),
-                "verb_biases": self.verb_biases.tolist(),
-                "noun_weights": self.noun_weights.tolist(),
-                "noun_biases": self.noun_biases.tolist(),
-            }
-        )
+        """``json.dumps`` of the checkpoint as a dict, byte for byte; the
+        arrays are spelled by ``json_number_text``."""
+        arrays = (f'"{f.name}": {json_number_text(getattr(self, f.name))}' for f in fields(self))
+        return (f'{{"feature_dim": {self.feature_dim}, "num_steps": {self.num_steps}, '
+                f'{", ".join(arrays)}}}')
 
     @classmethod
     def from_json(cls, text: str) -> "MultiHeadDecoder":

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .vocab import iter_records, json_numbers, record_id
+from .vocab import iter_records, json_number_text, json_numbers, record_id
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,11 @@ class LogitsTensor:
         return self.verb_logits.shape[0]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "example_id": self.example_id,
-                "verb_logits": self.verb_logits.tolist(),
-                "noun_logits": self.noun_logits.tolist(),
-            }
-        )
+        """``json.dumps`` of the record as a dict, byte for byte; the arrays
+        are spelled by ``json_number_text``, one after the other."""
+        return (f'{{"example_id": {json.dumps(self.example_id)}, '
+                f'"verb_logits": {json_number_text(self.verb_logits)}, '
+                f'"noun_logits": {json_number_text(self.noun_logits)}}}')
 
     @classmethod
     def from_obj(cls, obj: dict) -> "LogitsTensor":

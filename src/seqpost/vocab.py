@@ -6,8 +6,10 @@ so ids line up with logit-array columns with no remapping.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -82,14 +84,243 @@ def json_numbers(obj: dict, key: str) -> np.ndarray:
     values = np.array(raw)
     if values.dtype.kind not in "fi":
         raise ValueError(f"{key} must be JSON numbers")
-    # numpy reads true and false among numbers as 1 and 0, so an array with a 0 or a 1 has
-    # the types of its entries scanned in C; being regular, it has them all ndim lists deep
-    entries = [raw]
-    for _ in range(values.ndim):
-        entries = itertools.chain.from_iterable(entries)  # lazy: nothing is read here
-    if ((values == 0) | (values == 1)).any() and bool in set(map(type, entries)):
-        raise ValueError(f"{key} must be JSON numbers")
+    # numpy reads true and false among numbers as 1 and 0, so the innermost lists that
+    # hold a 0 or a 1 have the types of their entries scanned in C
+    if values.ndim:
+        rows = [functools.reduce(operator.getitem, index, raw)
+                for index in np.argwhere(((values == 0) | (values == 1)).any(axis=-1)).tolist()]
+        if bool in set(map(type, itertools.chain.from_iterable(rows))):
+            raise ValueError(f"{key} must be JSON numbers")
     return values.astype(np.float64, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# Float arrays as JSON text
+#
+# json.dumps spells a float by repr: the fewest significant digits that read
+# back as the same double, and of those the closest, in fixed notation when
+# 1e-4 <= |x| < 1e16. For |x| in [1e-4, 1e15), json_number_text finds those
+# digits for a whole array with numpy (Steele & White 1990; Adams 2018, "Ryu"):
+# - y = |x| * 10**p, with p = 16 - floor(log10 |x|) <= 20 so that 10**p is an
+#   exact double, is computed exactly as a sum hi + lo of doubles (Dekker 1971).
+#   log10 is not trusted: y must land in [1e16, 1e17).
+# - The nearest decimal of n digits, D_n, reads back as x iff
+#   |D_n - y| < ulp(x) * 10**p / 2, an exact double. 17 digits always read
+#   back; 16 replace them where D_16 reads back, and 15 replace those where
+#   D_15 does, less their trailing zeros. Each test is exact: its one rounding
+#   keeps the sign of the exact difference, and the two sides are equal or
+#   further apart than that rounding (a point halfway between two doubles in
+#   this range has at least 19 significant digits, so no D_n lies on one).
+# - A tie in rounding to 16 digits, or a misjudged exponent, flags the element,
+#   and repr spells the flagged ones and everything outside the range. A tie at
+#   17 digits occurs only where 16 digits read back, and one at 15 never reads
+#   back. The powers of two in the range have exact decimals of at most 15
+#   digits, so the narrower interval below them never decides a choice.
+
+_POW10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # 10**0 .. 10**22, exact
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two halves of 26 bits
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = a * _VELTKAMP
+    high = c - (c - a)
+    return high, a - high
+
+
+# 10**(16 - e) for the decimal exponents e = -4 .. 14, indexed by e + 4, and its halves
+_SCALE = _POW10[20:1:-1].copy()
+_SCALE_HIGH, _SCALE_LOW = _split(_SCALE)
+_EXPONENTS = 19
+_E16, _E17 = 10**16, 10**17
+_EXPONENT_BITS = np.int64(0x7FF0_0000_0000_0000)
+
+
+def _shortest_digits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, exponent index, fallback) for a 1-D float64 array: the digits
+    of ``repr(abs(x))`` as a 17-digit integer padded with zeros on the right,
+    and its decimal exponent plus 4; where ``fallback`` is set, both are
+    undefined and ``repr`` must spell the value. No numpy warning is raised."""
+    ax = np.abs(flat)
+    fallback = ax < 1e-4
+    fallback |= ~(ax < 1e15)  # NaN too
+    np.fmax(ax, 1e-4, out=ax)  # NaN -> 1e-4, and inf -> 1e15 next, so all below is finite
+    np.fmin(ax, 1e15, out=ax)
+    t = np.log10(ax)
+    np.floor(t, out=t)
+    np.clip(t, -4.0, 14.0, out=t)
+    t += 4.0
+    index = t.astype(np.intp)
+    scale = _SCALE.take(index)
+    scale_high = _SCALE_HIGH.take(index)
+    scale_low = _SCALE_LOW.take(index)
+    # y = ax * scale = hi + lo exactly: Dekker's product of the halves
+    x_high, x_low = _split(ax)
+    hi = ax * scale
+    lo = x_high * scale_high
+    lo -= hi
+    lo += np.multiply(x_high, scale_low, out=x_high)
+    lo += np.multiply(x_low, scale_high, out=scale_high)
+    lo += np.multiply(x_low, scale_low, out=x_low)
+    # y = whole + rest exactly, whole the int64 nearest y and |rest| <= 0.5 a double;
+    # hi >= 2**53 is an integer, |lo| <= 8, and lo - rint(lo) is exact
+    nearest = np.rint(lo, out=scale_low)
+    whole = hi.astype(np.int64)
+    whole += nearest.astype(np.int64)
+    rest = np.subtract(lo, nearest, out=lo)
+    fallback |= whole < _E16  # a misjudged exponent
+    fallback |= whole >= _E17
+    # half an ulp of ax, scaled: 2**E * scale * 2**-53, an exact double
+    bound = (ax.view(np.int64) & _EXPONENT_BITS).view(np.float64)
+    bound *= scale
+    bound *= 2.0 ** -53
+    # whole mod 100 and whole mod 10, as exact floats
+    hundreds = whole // 100
+    hundreds *= 100
+    mod_100 = np.subtract(whole, hundreds, out=hundreds).astype(np.float64)
+    mod_10 = np.multiply(mod_100, 0.1, out=scale)
+    np.floor(mod_10, out=mod_10)
+    mod_10 *= -10.0
+    mod_10 += mod_100
+    # the offset from whole of the decimal chosen, an exact small float: 17 digits
+    # first, then the nearest 16 and then 15-digit decimal wherever it reads back as x
+    offset = np.zeros_like(rest)
+    for q, mod in ((10, mod_10), (100, mod_100)):
+        past_half = np.subtract(mod, q / 2, out=hi)
+        past_half += rest  # one rounding, so its sign is exact
+        up = past_half > 0
+        if q == 10:
+            fallback |= past_half == 0  # a tie at 16 digits; one at 15 never reads back
+        candidate = np.multiply(up, float(q), out=scale_high)
+        candidate -= mod
+        distance = np.subtract(candidate, rest, out=x_high)
+        np.abs(distance, out=distance)
+        candidate -= offset
+        candidate *= distance < bound
+        offset += candidate
+    digits = whole
+    digits += offset.astype(np.int64)
+    return digits, index, fallback
+
+
+# The text of each element is laid out in a row of 8-byte units, and a keep
+# mask picks its characters. Unit 0 is "-0.000" (the sign, and "0." and the
+# leading zeros of a value below 1), the first digit and a point; units 1 to 4
+# hold four digits each, each digit followed by a point; the last units hold a
+# separator, "]" * b + ", " + "[" * b, b >= ndim. Kept are the sign of a
+# negative value, one point (the one after the units digit), the digits through
+# the last significant one or the first fraction digit, whichever is later,
+# ", " but after the last element, and a "]" and a "[" for each axis that ends
+# at the element (only "]" for the outermost).
+_NUMBER_BYTES = 40
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit 0 by first digit, units 1 .. 4 by chunk 0000 .. 9999, and, by
+    unit and chunk, the index of the chunk's last nonzero digit among the 17
+    (0 for a zero chunk); built at the first write, not at import."""
+    head = np.frombuffer(b"-0.0000." * 10, np.uint8).reshape(10, 8).copy()
+    head[:, 6] = np.arange(10) + ord("0")
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    chunk = np.full((10_000, 8), ord("."), np.uint8)
+    chunk[:, ::2] = digits.T + ord("0")
+    zero = digits == 0
+    significant = 4 - zero[3] * (1 + zero[2] * (1 + zero[1] * (1 + zero[0].astype(np.int8))))
+    last_nonzero = (4 * np.arange(4, dtype=np.int8)[:, None] + significant) * (significant != 0)
+    return head.view(np.uint64).ravel(), chunk.view(np.uint64).ravel(), last_nonzero
+
+
+# Elements written at a time, and rows compressed at a time: every temporary,
+# compress's index array included, stays below the 128 KiB above which the C
+# allocator maps fresh pages for each call.
+_BLOCK = 2560
+_COMPRESS_ROWS = 512
+
+
+@functools.cache
+def _keep_table(brackets: int) -> np.ndarray:
+    """The keep masks of a row, as uint64 units, indexed by (negative,
+    exponent index, index of the last nonzero digit); of the separator
+    "]" * brackets + ", " + "[" * brackets, only ", " is kept."""
+    negative, exponent, last_nonzero, col = np.ix_(
+        np.arange(2), np.arange(-4, 15), np.arange(17), np.arange(_NUMBER_BYTES + 2 * brackets + 2)
+    )
+    digit = (col - 6) // 2
+    mask = np.select(
+        [col == 0, col < 3, col < 6, col >= _NUMBER_BYTES, col % 2 == 0],
+        [negative == 1, exponent < 0, exponent <= 1 - col, (col - _NUMBER_BYTES - brackets) // 2 == 0,
+         digit <= np.maximum(last_nonzero, exponent + 1)],
+        digit == exponent,
+    )
+    return mask.astype(np.uint8).reshape(2 * _EXPONENTS * 17, -1).view(np.uint64)
+
+
+def json_number_text(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())``, byte for byte, for an array of any
+    shape. A float64 array is spelled with numpy operations over blocks of
+    elements; ``repr`` spells only the elements outside [1e-4, 1e15) in size,
+    such as 0.0, NaN and infinities, and the rare ones whose digits cannot be
+    decided exactly (see ``_shortest_digits``). An empty array, or one of
+    another dtype, is left to ``json.dumps``."""
+    values = np.asarray(values)
+    if values.dtype != np.float64 or values.size == 0:
+        return json.dumps(values.tolist())
+    flat = values.ravel()
+    # element g ends the last j axes iff (g + 1) % periods[j - 1] == 0
+    periods = np.cumprod(values.shape[::-1], dtype=np.int64).tolist()
+    brackets = 3 + 4 * -(-max(values.ndim - 3, 0) // 4)  # so that the separator fills whole units
+    pieces = ["[" * values.ndim]
+    for start in range(0, flat.size, _BLOCK):
+        pieces += _block_text(flat[start:start + _BLOCK], start, periods, brackets)
+    return "".join(pieces)
+
+
+def _block_text(flat: np.ndarray, start: int, periods: list[int], brackets: int) -> list[str]:
+    """Pieces of the text of ``flat``, the elements of an array from flat
+    index ``start`` on, each element followed by its separator."""
+    n = flat.size
+    digits, index, fallback = _shortest_digits(flat)
+    digits[fallback] = _E16  # any valid digits: repr spells these elements
+    # the 17 digits: one, then four chunks of four
+    low = digits // 100_000_000
+    high = low // 100_000_000
+    low *= 100_000_000
+    np.subtract(digits, low, out=low)  # the last 8 digits
+    middle = np.subtract(digits // 100_000_000, high * 100_000_000, out=digits)
+    chunks = []
+    for part in (middle, low):
+        upper = part // 10_000
+        chunks += [upper, part - upper * 10_000]
+    head_text, chunk_text, last_nonzero_table = _digit_tables()
+    separator = b"]" * brackets + b", " + b"[" * brackets
+    text = np.empty((n, _NUMBER_BYTES // 8 + len(separator) // 8), np.uint64)
+    text[:, 0] = head_text.take(high)
+    for unit, chunk in enumerate(chunks, 1):
+        text[:, unit] = chunk_text.take(chunk)
+    text[:, _NUMBER_BYTES // 8:] = np.frombuffer(separator, np.uint64)
+    last_nonzero = last_nonzero_table[0].take(chunks[0])
+    for j in (1, 2, 3):
+        np.maximum(last_nonzero, last_nonzero_table[j].take(chunks[j]), out=last_nonzero)
+    code = index * 17
+    code += np.signbit(flat) * (_EXPONENTS * 17)
+    code += last_nonzero
+    keep = _keep_table(brackets).take(code, axis=0).view(np.uint8).reshape(n, -1)
+    text = text.view(np.uint8).reshape(n, -1)
+    for j, period in enumerate(periods, 1):
+        ends = keep[(-1 - start) % period::period]
+        ends[:, _NUMBER_BYTES + brackets - j] = 1  # "]"
+        if j < len(periods):
+            ends[:, _NUMBER_BYTES + brackets + 1 + j] = 1  # "["
+    if start + n == (periods[-1] if periods else 1):
+        keep[-1, _NUMBER_BYTES + brackets:] = 0  # after the last element, only the "]"s
+    for i in np.flatnonzero(fallback).tolist():
+        spelled = np.frombuffer(json.dumps(float(flat[i])).encode(), np.uint8)
+        keep[i, :_NUMBER_BYTES] = 0
+        keep[i, :spelled.size] = 1
+        text[i, :spelled.size] = spelled
+    keep = keep.view(bool)
+    return [np.compress(keep[row:row + _COMPRESS_ROWS].ravel(), text[row:row + _COMPRESS_ROWS].ravel())
+            .tobytes().decode("ascii") for row in range(0, n, _COMPRESS_ROWS)]
 
 
 def record_id(obj: dict, key: str) -> str:
@@ -150,8 +381,9 @@ def dump_corpus(corpus: Iterable[ActionSequence], path: str) -> None:
 
 def iter_numbered_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[tuple[int, T]]:
     """(lineno, ``parse`` of the record) for each non-empty line of a JSONL file; a fault names
-    ``path:lineno``. Each form of a line is dropped once the next is made, so only the record is
-    held while the caller has it. ``enumerate``'s reused tuple would keep the last line's bytes."""
+    ``path:lineno``. Each form of a line is dropped once the next is made, and the record is
+    handed over rather than kept, so the suspended reader holds nothing of the lines it read.
+    ``enumerate``'s reused tuple would keep the last line's bytes."""
     with open(path, "rb") as handle:
         lineno = 0
         for raw in handle:
@@ -169,13 +401,14 @@ def iter_numbered_records(path: str, parse: Callable[[dict], T], kind: str) -> I
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             del line
             try:
-                record = parse(obj)
+                record = [parse(obj)]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
             del obj
-            yield lineno, record
+            yield lineno, record.pop()  # popped, as a name would hold it until the next line
 
 
 def iter_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[T]:
-    """The records of :func:`iter_numbered_records`, without their line numbers."""
-    return (record for _, record in iter_numbered_records(path, parse, kind))
+    """The records of :func:`iter_numbered_records`, without their line numbers;
+    a ``map``, which, unlike a generator's loop variable, keeps no record it gave."""
+    return map(operator.itemgetter(1), iter_numbered_records(path, parse, kind))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1120,6 +1121,43 @@ def test_synth_gen_writes_each_logits_record_before_making_the_next(workspace, m
                  "--out-corpus", f"{out}.corpus.jsonl", "--out-logits", f"{out}.logits.jsonl"]) == 0
     assert events == ["make", "write"] * 20
     assert (workspace / "again.logits.jsonl").read_bytes() == expected
+
+
+@pytest.mark.parametrize("two_models", [False, True], ids=["one_model", "two_models"])
+def test_refine_frees_each_example_before_reading_the_next(workspace, monkeypatch, two_models):
+    """While refine parses a logits record, nothing made from an earlier
+    example is alive: neither its parsed nor its combined logits, nor its
+    distributions."""
+    assert _build_stats(workspace) == 0
+    made = []  # (example_id, weak reference) of each LogitsTensor and StepDistributions
+    held = []  # (example parsed, earlier example still alive)
+    from_obj = LogitsTensor.from_obj.__func__
+    post_init = LogitsTensor.__post_init__
+    softmax_rows = seqpost.cli.softmax_rows
+
+    def checking_from_obj(cls, obj):
+        held.extend((obj["example_id"], example_id) for example_id, ref in made
+                    if example_id != obj["example_id"] and ref() is not None)
+        return from_obj(cls, obj)
+
+    def recording_post_init(self):
+        post_init(self)
+        made.append((self.example_id, weakref.ref(self)))
+
+    def recording_softmax_rows(logits):
+        dists = softmax_rows(logits)
+        made.append((dists.example_id, weakref.ref(dists)))
+        return dists
+
+    monkeypatch.setattr(LogitsTensor, "from_obj", classmethod(checking_from_obj))
+    monkeypatch.setattr(LogitsTensor, "__post_init__", recording_post_init)
+    monkeypatch.setattr(seqpost.cli, "softmax_rows", recording_softmax_rows)
+    argv = _two_model_argv(workspace, "refine", workspace / "logits.jsonl")
+    if not two_models:
+        argv = argv[:argv.index("--logits-b")] + argv[argv.index("--logits-b") + 2:]
+    assert main(argv) == 0
+    assert len({example_id for example_id, _ in made}) == 20
+    assert held == []
 
 
 def _drop_key_of_last_line(path, key):

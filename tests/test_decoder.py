@@ -275,7 +275,11 @@ def test_learning_rate_must_be_positive_and_finite(lr):
 
 def test_checkpoint_roundtrip():
     dec = MultiHeadDecoder.init(4, 3, 2, 5, seed=14)
-    back = MultiHeadDecoder.from_json(dec.to_json())
+    text = dec.to_json()
+    assert text == json.dumps({"feature_dim": 4, "num_steps": 3,
+                               **{name: getattr(dec, name).tolist() for name in
+                                  ("verb_weights", "verb_biases", "noun_weights", "noun_biases")}})
+    back = MultiHeadDecoder.from_json(text)
     assert back.feature_dim == 4
     assert np.array_equal(dec.verb_weights, back.verb_weights)
     assert np.array_equal(dec.noun_biases, back.noun_biases)

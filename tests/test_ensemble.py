@@ -1,4 +1,5 @@
 import hashlib
+import json
 import warnings
 
 import mpmath
@@ -131,6 +132,13 @@ def test_logits_jsonl_roundtrip(tmp_path):
     for orig, loaded in zip(tensors, back):
         assert np.array_equal(orig.verb_logits, loaded.verb_logits)
         assert np.array_equal(orig.noun_logits, loaded.noun_logits)
+
+
+def test_logits_json_is_json_dumps_of_the_record():
+    verb = np.array([[0.0, -0.0, 1e-7, -2.5], [1e17, 0.1, -1e-4, 123456.789]])
+    tensor = LogitsTensor('ex "7"\n\u00e9', verb, _random_tensor(3).noun_logits[:2])
+    assert tensor.to_json() == json.dumps({"example_id": tensor.example_id, "verb_logits": verb.tolist(),
+                                           "noun_logits": tensor.noun_logits.tolist()})
 
 
 @pytest.mark.parametrize("b, weights, message", [

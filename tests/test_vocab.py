@@ -4,11 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seqpost.cooc import corpus_fingerprint
 from seqpost.refine import PredictionSet
 from seqpost.vocab import (
-    Action, ActionSequence, Vocabulary, iter_numbered_records, json_numbers, validate_sequence,
+    Action, ActionSequence, Vocabulary, iter_numbered_records, json_number_text, json_numbers,
+    validate_sequence,
 )
 
 
@@ -181,3 +185,59 @@ def test_reader_holds_only_the_record_while_the_caller_has_it(tmp_path):
     finally:
         tracemalloc.stop()
         records.close()
+
+
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    hnp.arrays(np.uint64, SHAPES).map(lambda bits: bits.view(np.float64)),  # any bit pattern
+    hnp.arrays(np.float64, SHAPES),
+    hnp.arrays(np.float64, SHAPES, elements=st.floats(1e-4, 1e15) | st.floats(-1e15, -1e-4)),
+))
+def test_json_number_text_is_json_dumps_of_any_array(values):
+    assert json_number_text(values) == json.dumps(values.tolist())
+
+
+@pytest.mark.parametrize("shape", [(2560,), (2561,), (3, 2000), (2, 3, 1001), (5, 2, 1, 700)])
+def test_json_number_text_is_json_dumps_across_blocks(shape):
+    # elements are written a block at a time; axes end inside blocks and at their edges
+    values = np.random.default_rng(7).normal(size=shape) * np.resize(10.0 ** np.arange(-6, 17), shape)
+    values.flat[::97] = 0.0
+    assert json_number_text(values) == json.dumps(values.tolist())
+
+
+def _around(value: float, ulps: int) -> np.ndarray:
+    """The doubles within ``ulps`` steps of the positive double ``value``, and their negatives."""
+    steps = (np.float64(value).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+    return np.concatenate((steps, -steps))
+
+
+def _sweep_values() -> np.ndarray:
+    """2.2 M doubles: the writer's fast range [1e-4, 1e15) and both its edges, each power
+    of ten, the powers of two, exact short decimals, and random values and bit patterns."""
+    rng = np.random.default_rng(2023)
+    n = 200_000
+    sign = rng.choice([-1.0, 1.0], 4 * n)
+    powers_of_two = np.ldexp(1.0, np.arange(-20, 60))
+    return np.concatenate([
+        np.exp(rng.uniform(np.log(1e-4), np.log(1e15), 4 * n)) * sign,
+        rng.normal(size=n), rng.normal(size=n) * 1e-3, rng.normal(size=n) * 1e7,
+        rng.integers(-10**7, 10**7, 2 * n) / 10.0 ** rng.integers(0, 12, 2 * n),  # short decimals
+        rng.integers(-2**40, 2**40, n) / 2.0 ** rng.integers(0, 60, n),  # dyadic rationals
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        *(_around(edge, 5_000) for edge in (1e-4, 1e15)),
+        *(_around(float(f"1e{k}"), 50) for k in range(-6, 18)),
+        *(_around(power, 2) for power in powers_of_two),
+    ])
+
+
+def test_json_number_text_spells_each_value_as_repr_does():
+    values = _sweep_values()
+    assert values.size >= 2_000_000
+    text = json_number_text(values)
+    if text != json.dumps(values.tolist()):
+        spelled = text[1:-1].split(", ")
+        wrong = [(value.hex(), got) for value, got in zip(values.tolist(), spelled) if got != repr(value)]
+        pytest.fail(f"{len(wrong)} values spelled unlike repr, first {wrong[:5]}")
