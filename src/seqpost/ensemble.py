@@ -20,7 +20,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .vocab import iter_records, json_number_text, json_numbers, record_id
+from .vocab import JSON_SPACE, iter_records, json_float_rows, json_number_text, json_numbers, record_id
+
+# A logits line as json.dumps lays it out, with the id's text between the first two parts
+_HEAD, _VERB, _NOUN, _TAIL = b'{"example_id": "', b'", "verb_logits": [[', b']], "noun_logits": [[', b"]]}"
+_JSON_SPACE = JSON_SPACE.encode()
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,33 @@ class LogitsTensor:
             verb_logits=json_numbers(obj, "verb_logits"),
             noun_logits=json_numbers(obj, "noun_logits"),
         )
+
+    @classmethod
+    def from_line(cls, line: bytes) -> "LogitsTensor | None":
+        """The record of a line laid out as ``to_json`` writes it, with JSON
+        whitespace around it and an id of printable ASCII with no escapes, its
+        arrays read by ``json_float_rows``: the record, or the ValueError, that
+        ``from_obj`` gives for ``json.loads`` of the line. None for any other
+        line, which ``json.loads`` must read."""
+        start, stop = 0, len(line)
+        while start < stop and line[start] in _JSON_SPACE:
+            start += 1
+        while stop > start and line[stop - 1] in _JSON_SPACE:
+            stop -= 1
+        if not (line.startswith(_HEAD, start) and line.endswith(_TAIL, start, stop)):
+            return None
+        quote = line.find(b'"', start + len(_HEAD), stop)
+        example_id = line[start + len(_HEAD):quote]
+        verb = quote + len(_VERB)
+        noun = line.find(_NOUN, verb, stop)
+        if (quote < 0 or noun < 0 or not line.startswith(_VERB, quote) or not example_id.isascii()
+                or b"\\" in example_id or not example_id.decode("ascii").isprintable()):
+            return None
+        verb_logits = json_float_rows(line, verb, noun)
+        noun_logits = json_float_rows(line, noun + len(_NOUN), stop - len(_TAIL))
+        if verb_logits is None or noun_logits is None:
+            return None
+        return cls(example_id.decode("ascii"), verb_logits, noun_logits)
 
 
 @dataclass(frozen=True)
@@ -184,8 +215,9 @@ def softmax_rows(logits: LogitsTensor) -> StepDistributions:
 
 
 def iter_logits(path: str) -> Iterator[LogitsTensor]:
-    """The records of a logits file, parsed one at a time as they are read."""
-    return iter_records(path, LogitsTensor.from_obj, "logits")
+    """The records of a logits file, parsed one at a time as they are read;
+    ``LogitsTensor.from_line`` reads the long lines it can."""
+    return iter_records(path, LogitsTensor.from_obj, "logits", LogitsTensor.from_line)
 
 
 def load_logits(path: str) -> list[LogitsTensor]:

@@ -323,6 +323,212 @@ def _block_text(flat: np.ndarray, start: int, periods: list[int], brackets: int)
             .tobytes().decode("ascii") for row in range(0, n, _COMPRESS_ROWS)]
 
 
+# ---------------------------------------------------------------------------
+# Float arrays from JSON text
+#
+# json.loads reads a float token with float(), the correctly rounded double of
+# its decimal value. json_float_rows reads the same doubles for a whole 2-D
+# array with numpy, a block of tokens at a time (Clinger 1990, "How to Read
+# Floating Point Numbers Accurately"; Lemire 2021, "Number Parsing at a
+# Gigabyte per Second"):
+# - One scan finds the commas. Each is followed by a space, and one that ends
+#   a row sits in "], [", at the same token count in every row.
+# - The last 24 bytes of a token are read as three little-endian words. The
+#   point is taken out (the integer digits move up a byte) and the bytes before
+#   the first digit cleared; SWAR arithmetic checks that each byte left is a
+#   digit and reads them into an integer w, with p fraction digits. The first
+#   point is found by one look one byte past the first digit, then a byte at a
+#   time for the few tokens with more integer digits.
+# - If w <= 2**53, w / 10**p is one correctly rounded division of exact
+#   doubles. Otherwise q = float(w) / 10**p is within an ulp or two of w / 10**p,
+#   and D = w - q * 10**p, an exact Dekker product less one rounding, decides:
+#   |D| < B = ulp(q) * 10**p / 2 keeps q, and B < |D| < 3B takes q's neighbour
+#   on D's side. B and 3B are exact doubles and rounding is monotone, so a
+#   comparison may refuse a right value but never accepts a wrong one. A tie,
+#   and a q at or just above a power of two (where the spacing halves), are
+#   left undecided.
+# - json.loads reads each token that is undecided, in exponent form, of more
+#   than 23 digits, or whose w would reach 9 * 10**18. Any token it reads as
+#   other than a float (an integer, true, a stray byte) leaves the whole array
+#   to json.loads.
+
+_P_HIGH, _P_LOW = _split(_POW10)
+_MANTISSA_BITS = np.int64(0x000F_FFFF_FFFF_FFFF)
+_SIGN = np.ones(256)  # by a token's first byte
+_SIGN[ord("-")] = -1.0
+_MINUS, _POINT, _ZERO, _COMMA, _SPACE, _OPEN, _CLOSE = b"-.0, []"
+# The words of a token's 24-byte tail are int64, whose shifts and products wrap
+# silently; a right shift copies the sign bit, which no byte of a token sets
+_DIGITS = np.int64(0x3030_3030_3030_3030)  # "00000000"
+_TOP_BITS = np.int64(-0x7F7F_7F7F_7F7F_7F80)  # 0x8080_8080_8080_8080
+_WINDOW = np.dtype("V24")  # a token's last 24 bytes
+_WORD_TOPS = np.array([[192], [128], [64]])  # by word, the window's bits from the word's start on
+# Tokens read at a time, and bytes scanned at a time, so that each block's
+# temporaries stay below the 128 KiB above which the C allocator maps fresh
+# pages for each call
+_READ_BLOCK = 4096
+_SCAN_BYTES = 65536
+
+
+def json_float_rows(line: bytes, start: int, stop: int) -> np.ndarray | None:
+    """The (R, C) float64 array whose JSON text is ``line[start:stop]`` between
+    its outer "[[" and "]]" as ``json.dumps`` spaces it: tokens ", " apart and
+    rows "], [" apart, each row of C >= 1 tokens. Every value has the bits
+    ``json.loads`` gives. None where ``json.loads`` must read the text: any
+    other spacing, ragged rows, nested or empty lists, an integer or any token
+    that is not a JSON float, or a byte out of place, and an array that starts
+    within a line's first 24 bytes."""
+    if start < 24 or line[start - 2:start] != b"[[" or line[stop:stop + 2] != b"]]":
+        return None
+    buf = np.frombuffer(line, np.uint8)
+    # the byte before each comma, after a stand-in for one before the first token and before
+    # one after the last; the bytes after each are views of buf from one byte on and further
+    before = [np.array([start - 3])]
+    for at in range(start, stop, _SCAN_BYTES):
+        found = np.flatnonzero(buf[at:min(at + _SCAN_BYTES, stop)] == _COMMA)
+        found += at - 1
+        before.append(found)
+    before.append(np.array([stop - 1]))
+    before = np.concatenate(before)
+    n = before.size - 1
+    if not (buf[2:].take(before[1:-1]) == _SPACE).all():
+        return None
+    row_ends = buf.take(before) == _CLOSE
+    row_ends[[0, -1]] = False
+    rows = np.flatnonzero(row_ends)  # each, the index of the token that starts a row
+    columns = int(rows[0]) if rows.size else n
+    if n % columns or not np.array_equal(rows, np.arange(columns, n, columns)):
+        return None
+    if not (buf[3:].take(before.take(rows)) == _OPEN).all():
+        return None
+    windows = np.ndarray((len(line) - 23,), _WINDOW, buffer=line, strides=(1,))
+    values = np.empty(n)
+    for i in range(0, n, _READ_BLOCK):
+        j = min(i + _READ_BLOCK, n)
+        begin = before[i:j] + 3
+        begin += row_ends[i:j]
+        end = before[i + 1:j + 1] + 1
+        end -= row_ends[i + 1:j + 1]
+        whole, fraction, first, undecided = _token_digits(buf, windows, begin, end)
+        block = _quotients(whole, fraction, undecided, values[i:j])
+        block *= _SIGN.take(first)
+        for k in np.flatnonzero(undecided).tolist():
+            try:  # as ASCII, so that json.loads takes no UTF-16 or UTF-32 for it
+                value = json.loads(line[begin[k]:end[k]].decode("ascii"))
+            except ValueError:
+                return None
+            if type(value) is not float:
+                return None
+            block[k] = value
+    return values.reshape(-1, columns)
+
+
+def _token_digits(buf: np.ndarray, windows: np.ndarray, begin: np.ndarray,
+                  end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(whole, fraction, first, undecided) for the tokens ``buf[begin:end]``:
+    each token -?[0-9]+.[0-9]+ with no leading zero, at most 23 digits, and
+    digits that read below 9 * 10**18 is whole / 10**fraction, and its first
+    byte says its sign; the rest are undecided, with whole 0."""
+    first = buf.take(begin)
+    digit0 = begin + (first == _MINUS)
+    point = digit0 + 1
+    todo = np.flatnonzero(buf.take(point) != _POINT)
+    undecided = np.zeros(begin.size, bool)
+    undecided[todo] = buf.take(digit0.take(todo)) == _ZERO  # a leading zero
+    while todo.size:  # the first point of a token with more than one integer digit, or none
+        at = point.take(todo) + 1
+        point[todo] = at
+        todo = todo[(at < end.take(todo)) & (buf.take(at, mode="clip") != _POINT)]
+    fraction = end - point
+    fraction -= 1
+    digits = end - digit0
+    digits -= 1
+    undecided |= fraction < 1
+    undecided |= digits > 23
+    # the window's three words, digits as byte values 0 .. 9, with the integer
+    # digits moved up a byte over the point and the bytes before the first cleared
+    w = windows[end - 24].view(np.int64).reshape(-1, 3).T.copy()
+    w ^= _DIGITS
+    shifted = w << 8
+    shifted[1:] |= w[:-1] >> 56  # a byte >= 0x80, never in a token, smears its sign
+    w ^= shifted
+    w &= _last_bits(fraction << 3)
+    w ^= shifted
+    w &= _last_bits(digits << 3)
+    # a byte outside 0 .. 9 sets its top bit here
+    np.add(w, 0x7676_7676_7676_7676, out=shifted)
+    shifted |= w
+    bad = shifted[0] | shifted[1]
+    bad |= shifted[2]
+    bad &= _TOP_BITS
+    undecided |= bad != 0
+    # pairs, quads and octets of digits, first digit highest (Lemire 2021); no
+    # product of digits reaches the sign bit, so each right shift is a logical one
+    w *= 2561
+    w >>= 8
+    for mask, factor, shift in ((0x00FF_00FF_00FF_00FF, 6553601, 16),
+                                (0x0000_FFFF_0000_FFFF, 42949672960001, 32)):
+        w &= mask
+        w *= factor
+        w >>= shift
+    undecided |= w[0] >= 900  # whole below 9 * 10**18 < 2**63
+    whole = w[0] * 10**8
+    whole += w[1]
+    whole *= 10**8
+    whole += w[2]
+    whole[undecided] = 0  # any value would do; 0 keeps every cast in _quotients in range
+    return whole, fraction, first, undecided
+
+
+def _quotients(whole: np.ndarray, fraction: np.ndarray, undecided: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """``out``, set to the doubles nearest whole / 10**fraction: exact up to
+    2**53, else checked against a Dekker product. Where that decides no value,
+    ``undecided`` is set and the value is any."""
+    scale = _POW10.take(fraction, mode="clip")
+    x = np.divide(whole, scale, out=out)
+    exact = whole <= 2**53
+    x_high, x_low = _split(x)
+    scale_high = _P_HIGH.take(fraction, mode="clip")
+    scale_low = _P_LOW.take(fraction, mode="clip")
+    hi = x * scale
+    lo = x_high * scale_high
+    lo -= hi
+    lo += np.multiply(x_high, scale_low, out=x_high)
+    lo += np.multiply(x_low, scale_high, out=scale_high)
+    lo += np.multiply(x_low, scale_low, out=x_low)
+    # hi is within a few ulps of whole > 2**53, so it is a whole number and whole - hi is exact
+    diff = np.subtract(whole, hi.astype(np.int64), out=whole).astype(np.float64)
+    diff -= lo
+    bound = (x.view(np.int64) & _EXPONENT_BITS).view(np.float64)
+    bound *= scale
+    bound *= 2.0 ** -53
+    size = np.abs(diff, out=lo)
+    decided = size < bound
+    step = size > bound
+    bound *= 3.0
+    step &= size < bound
+    decided |= step
+    bits = x.view(np.int64)
+    decided &= (bits & _MANTISSA_BITS) > 1  # q is no power of two, nor just above one
+    decided |= exact
+    step &= ~exact
+    undecided |= ~decided
+    bits += step
+    step &= diff < 0
+    bits -= step
+    bits -= step
+    return x
+
+
+def _last_bits(count: np.ndarray) -> np.ndarray:
+    """The words of masks of the last ``count`` bits of a 24-byte window, (3, n)
+    for n counts; a count below 0 is 0, and one above 192 is 192."""
+    shift = np.subtract(_WORD_TOPS, count)
+    np.maximum(shift, 0, out=shift)  # numpy shifts a whole word or more to 0
+    return np.left_shift(-1, shift, out=shift)
+
+
 def record_id(obj: dict, key: str) -> str:
     """``obj[key]``, which must be a JSON string: a numeric id such as ``7``
     would never match the same id spelled ``"7"`` in another file."""
@@ -379,36 +585,57 @@ def dump_corpus(corpus: Iterable[ActionSequence], path: str) -> None:
             handle.write(seq.to_json() + "\n")
 
 
-def iter_numbered_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[tuple[int, T]]:
+# Lines longer than this many bytes are offered to an iter_numbered_records
+# caller's parse_line before json.loads: below it, json.loads reads a logits
+# line faster than json_float_rows does.
+PARSE_LINE_BYTES = 20_000
+JSON_SPACE = " \t\n\r"  # what JSON allows around a value; str.strip() also strips U+00A0 and the like
+
+
+def iter_numbered_records(path: str, parse: Callable[[dict], T], kind: str,
+                          parse_line: Callable[[bytes], T | None] | None = None) -> Iterator[tuple[int, T]]:
     """(lineno, ``parse`` of the record) for each non-empty line of a JSONL file; a fault names
-    ``path:lineno``. Each form of a line is dropped once the next is made, and the record is
-    handed over rather than kept, so the suspended reader holds nothing of the lines it read.
+    ``path:lineno``. ``parse_line``, if given, first gets each line longer than
+    ``PARSE_LINE_BYTES``, its bytes as read, and returns its record, or None to leave
+    the line to ``json.loads`` and ``parse``; it must give the record or raise the error they
+    would. Each form of a line is dropped once the next is made, and the record is handed over
+    rather than kept, so the suspended reader holds nothing of the lines it read.
     ``enumerate``'s reused tuple would keep the last line's bytes."""
     with open(path, "rb") as handle:
         lineno = 0
         for raw in handle:
             lineno += 1
-            try:
-                line = raw.decode().strip()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-            del raw
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            del line
-            try:
-                record = [parse(obj)]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
-            del obj
+            record = [None]
+            if parse_line is not None and len(raw) > PARSE_LINE_BYTES:
+                try:
+                    record[0] = parse_line(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
+            if record[0] is None:
+                try:
+                    line = raw.decode().strip(JSON_SPACE)
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+                del raw
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                del line
+                try:
+                    record[0] = parse(obj)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
+                del obj
+            else:
+                del raw
             yield lineno, record.pop()  # popped, as a name would hold it until the next line
 
 
-def iter_records(path: str, parse: Callable[[dict], T], kind: str) -> Iterator[T]:
+def iter_records(path: str, parse: Callable[[dict], T], kind: str,
+                 parse_line: Callable[[bytes], T | None] | None = None) -> Iterator[T]:
     """The records of :func:`iter_numbered_records`, without their line numbers;
     a ``map``, which, unlike a generator's loop variable, keeps no record it gave."""
-    return map(operator.itemgetter(1), iter_numbered_records(path, parse, kind))
+    return map(operator.itemgetter(1), iter_numbered_records(path, parse, kind, parse_line))

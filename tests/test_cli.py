@@ -329,6 +329,28 @@ def _stats_cmd(ws, train="corpus.jsonl", verb_vocab="vocab.verb.json"):
     ])
 
 
+@pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\u0085", "\x0c", "\x1c"],
+                         ids=["nbsp", "line_separator", "next_line", "form_feed", "file_separator"])
+def test_a_record_line_ending_in_non_json_whitespace_is_one_error_line(workspace, capsys, space):
+    # a short corpus line goes to json.loads; a long logits line is offered to the kernel first
+    corpus = (workspace / "corpus.jsonl").read_text()
+    bad = workspace / "spaced.jsonl"
+    bad.write_text(corpus.replace("\n", space + "\n", 1), encoding="utf-8")
+    assert _stats_cmd(workspace, train="spaced.jsonl") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1: invalid JSON: ") and err.count("\n") == 1
+    rng = np.random.default_rng(0)
+    wide = LogitsTensor("e0", rng.normal(size=(4, 700)), rng.normal(size=(4, 700))).to_json()
+    logits = workspace / "wide.jsonl"
+    logits.write_text(wide + "\n" + wide + space + "\n", encoding="utf-8")
+    out = workspace / "combined.jsonl"
+    assert main(["ensemble", "--quiet", "--logits-a", str(logits), "--logits-b", str(logits),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {logits}:2: invalid JSON: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_corpus_record_error_names_file_and_line(workspace, capsys):
     bad = workspace / "wide.jsonl"
     bad.write_text('{"episode_id": "e", "actions": [[0, 1, 2]]}\n')

@@ -14,6 +14,11 @@ checks the error contract: exit 1, exactly one stderr line, starting
 ``error: <that file>``, and no output file or manifest. An extra key may
 instead be ignored, with the same output bytes as the valid files give.
 
+A logits record too wide to enumerate, whose line is long enough for the
+reader to offer it to ``LogitsTensor.from_line``, is read by ``ensemble``;
+hypothesis samples its places and the fractions of its text where a text
+mutation goes.
+
 Left out: a dropped synth config key, since every ``SynthConfig`` field has a
 default; and a duplicate id in ``stats`` and ``refine`` inputs, which read
 each record on its own.
@@ -27,12 +32,14 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqpost.cli import main
 from seqpost.cooc import SmoothingConfig, build_stats
-from seqpost.vocab import Action, ActionSequence, Vocabulary
+from seqpost.ensemble import LogitsTensor
+from seqpost.vocab import PARSE_LINE_BYTES, Action, ActionSequence, Vocabulary
 
 CORPUS = {"episode_id": "e0", "actions": [[0, 1], [1, 2]]}
 LOGITS = {"example_id": "e0", "verb_logits": [[0.5, -1.0], [0.0, 2.0]],
@@ -44,6 +51,8 @@ SYNTH_CONFIG = {"c_verb": 2, "c_noun": 3, "num_sequences": 2, "seq_len": 2, "tra
                 "verb_noun_coupling": 0.5, "logit_noise_sigma": 1.0, "rng_seed": 0, "logit_scale": 1.0,
                 "num_patterns": 2, "mode": "as_written"}
 TRAINING = {"features": [0.5, -1.0], "actions": [[0, 1], [1, 2]]}
+WIDE_LOGITS = json.loads(LogitsTensor("w0", np.random.default_rng(0).normal(size=(2, 500)),
+                                      np.random.default_rng(1).normal(size=(2, 700))).to_json())
 
 
 def _stats():
@@ -55,8 +64,9 @@ def _stats():
 # each input file the fuzzer mutates, by name, with its valid content
 BASES = {"stats": _stats(), "logits": LOGITS, "predictions": PREDICTIONS, "truth": CORPUS,
          "corpus": CORPUS, "vocabulary": json.loads(VERBS.to_json()), "synth_config": SYNTH_CONFIG,
-         "training": TRAINING}
-JSONL = {"logits", "predictions", "truth", "corpus", "training"}
+         "training": TRAINING, "wide_logits": WIDE_LOGITS}
+JSONL = {"logits", "predictions", "truth", "corpus", "training", "wide_logits", "wide_logits_b"}
+SAMPLED = {"wide_logits"}  # too many places to enumerate
 UNIQUE_IDS = {"predictions", "truth", "vocabulary"}
 
 
@@ -155,6 +165,8 @@ def _argv(kind, files, out):
         argv = ["synth", "gen", "--config", files["synth_config"], "--out-corpus"]
     elif kind == "training":
         argv = ["train", "--data", files["training"], "--epochs", "1", "--out"]
+    elif kind == "wide_logits":
+        argv = ["ensemble", "--logits-a", files["wide_logits"], "--logits-b", files["wide_logits_b"], "--out"]
     else:
         argv = ["refine", "--stats", files["stats"], "--logits", files["logits"], "--z", "2", "--k", "3",
                 "--out"]
@@ -168,6 +180,7 @@ def _run(kind, data):
     with tempfile.TemporaryDirectory() as tmp:
         texts = {name: (json.dumps(base) + "\n").encode() for name, base in BASES.items()}
         texts["noun_vocabulary"] = (NOUNS.to_json() + "\n").encode()
+        texts["wide_logits_b"] = texts["wide_logits"]
         texts[kind] = data
         files = {name: os.path.join(tmp, f"{name}.json{'l' if name in JSONL else ''}") for name in texts}
         for name, path in files.items():
@@ -211,10 +224,11 @@ def _check(kind, place, mutation, text, depth):
 
 
 # (input, place, mutation) for every mutation that applies at every place
+ENUMERATED = [kind for kind in BASES if kind not in SAMPLED]
 CASES = (
-    [(kind, path, mutation) for kind in BASES for path in [(), *_paths(BASES[kind])]
+    [(kind, path, mutation) for kind in ENUMERATED for path in [(), *_paths(BASES[kind])]
      for mutation in PLACE_MUTATIONS if _mutated(kind, path, mutation, "", 1) is not None]
-    + [(kind, place, mutation) for kind in BASES for place in TEXT_PLACES for mutation in TEXT_MUTATIONS]
+    + [(kind, place, mutation) for kind in ENUMERATED for place in TEXT_PLACES for mutation in TEXT_MUTATIONS]
     + [(kind, (), "duplicate") for kind in sorted(UNIQUE_IDS)]
 )
 
@@ -228,3 +242,29 @@ def test_every_mutation_at_every_place_is_one_error_line_and_no_output():
 @given(st.sampled_from(CASES), st.text(max_size=8), st.integers(1, 3))
 def test_one_mutation_is_one_error_line_and_no_output(case, text, depth):
     _check(*case, text, depth)
+
+
+def test_the_wide_logits_line_is_offered_to_the_kernel():
+    line = (json.dumps(WIDE_LOGITS) + "\n").encode()
+    assert len(line) > PARSE_LINE_BYTES
+    assert LogitsTensor.from_line(line) is not None
+
+
+@st.composite
+def _wide_places(draw):
+    """A place in the wide logits record: the whole, a key's value, a row or an element."""
+    key = draw(st.sampled_from(sorted(WIDE_LOGITS)))
+    place = (key,)
+    while isinstance(value := _at(WIDE_LOGITS, place), list) and draw(st.booleans()):
+        place += (draw(st.integers(0, len(value) - 1)),)
+    return draw(st.sampled_from([(), place]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.one_of(st.tuples(_wide_places(), st.sampled_from(PLACE_MUTATIONS)),
+                 st.tuples(st.tuples(st.floats(0, 1)), st.sampled_from(TEXT_MUTATIONS))),
+       st.text(max_size=8), st.integers(1, 3))
+def test_one_mutation_of_a_wide_logits_record_is_one_error_line_and_no_output(case, text, depth):
+    place, mutation = case
+    assume(mutation in TEXT_MUTATIONS or _mutated("wide_logits", place, mutation, text, depth) is not None)
+    _check("wide_logits", place, mutation, text, depth)
