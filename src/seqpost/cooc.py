@@ -24,6 +24,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from itertools import islice
 from numbers import Real
 from typing import TextIO
 
@@ -158,40 +159,57 @@ _TABLES = ("verb_marginal", "noun_marginal", "verb_transition", "noun_transition
 # Rows of a table that the stats writer and the score-table build take at a
 # time, so that neither makes a table-sized temporary.
 _BLOCK_ROWS = 64
+# Float spellings that the stats writer and reader each keep at a time: a
+# map that is full is cleared, so neither grows with a dense table.
+_MEMO_ENTRIES = 4096
 
 
 def _table_json(table: np.ndarray) -> Iterator[str]:
     """The JSON text of a 1-D or 2-D float table, as
     ``json.dumps(table.tolist())`` spells it, in pieces of at most one row.
-    Entries are deduplicated on their bits, a block of ``_BLOCK_ROWS`` rows at
-    a time, and each distinct value is spelled by ``repr`` once per table, so
-    -0.0 and 0.0 keep their own spellings."""
+    A block of ``_BLOCK_ROWS`` rows at a time, each row is split into runs of
+    entries with equal bits, and each run is spelled from one ``repr``."""
     rows = np.atleast_2d(np.ascontiguousarray(table, dtype=np.float64))
     # a 1-D table is one row, with no brackets of its own
     opening, closing = ("[", "]") if table.ndim == 2 else ("", "")
-    texts: dict[int, str] = {}
+    # Keyed by value, not bits, so a block's runs need no list of bit
+    # patterns: of the finite floats only -0.0 and 0.0 are equal with
+    # different spellings, and zeros are spelled without the map.
+    texts: dict[float, str] = {}
     yield "["
     for start in range(0, len(rows), _BLOCK_ROWS):
-        bits = rows[start:start + _BLOCK_ROWS].view(np.uint64)
-        distinct = np.unique(bits)
-        keys = distinct.tolist()
-        for key, value in zip(keys, distinct.view(np.float64).tolist()):
-            if key not in texts:
-                texts[key] = repr(value)
-        spelled = np.array([texts[key] for key in keys], dtype=object)
-        # searchsorted, as np.unique's return_inverse holds more block-sized temporaries
-        for i, row in enumerate(spelled[distinct.searchsorted(bits)], start):
+        block = rows[start:start + _BLOCK_ROWS]
+        bits = block.view(np.uint64)
+        # a run starts at each row's first entry and wherever the bits change
+        new = np.ones(bits.shape, dtype=bool)
+        np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+        firsts = np.flatnonzero(new)
+        # a row's last run ends where the next row's first run starts
+        runs = zip(block.ravel()[firsts].tolist(), np.diff(firsts, append=bits.size).tolist())
+        for i, count in enumerate(np.count_nonzero(new, axis=1).tolist(), start):
+            spelled = []
+            for value, n in islice(runs, count):
+                text = texts.get(value) if value else repr(value)
+                if text is None:
+                    if len(texts) >= _MEMO_ENTRIES:
+                        texts.clear()
+                    text = texts[value] = repr(value)
+                spelled.append(text if n == 1 else (text + ", ") * (n - 1) + text)
             yield ", " + opening if i else opening
-            yield ", ".join(row.tolist())
+            yield ", ".join(spelled)
             yield closing
+        del runs  # this block's run lists, before the next block makes its own
     yield "]"
 
 
 class _FloatMemo(dict):
-    """Float text -> float, converting each distinct text once, so that
-    equal entries of a parsed stats file share one float object."""
+    """Float text -> float, converting each distinct text once until
+    ``_MEMO_ENTRIES`` are kept and the memo is cleared, so that equal entries
+    of a parsed stats file mostly share one float object."""
 
     def __missing__(self, text):
+        if len(self) >= _MEMO_ENTRIES:
+            self.clear()
         value = self[text] = float(text)
         return value
 

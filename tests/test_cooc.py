@@ -302,23 +302,31 @@ def _assert_writes_json_dumps_and_reads_back(stats):
         assert getattr(back, name).tobytes() == np.array(plain[name], dtype=np.float64).tobytes()
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_stats_json_equals_json_dumps_property(data):
+    """Tables over up to 70 verbs and 2 * BLOCK + 12 nouns, filled from a pool
+    of at most five values in runs of a drawn mean length, so that runs of
+    equal entries reach across row ends and block edges."""
     entries = st.one_of(
         st.sampled_from(EDGE_VALUES),
         st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
     )
-    c_verb = data.draw(st.integers(1, 5))
-    c_noun = data.draw(st.integers(1, 5))
+    pool = np.array(data.draw(st.lists(entries, min_size=1, max_size=5)))
+    mean_run = data.draw(st.sampled_from((1, 3, 40, 500)))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    c_verb = data.draw(st.integers(1, 70))
+    c_noun = data.draw(st.integers(1, 2 * BLOCK + 12))
     shapes = ((c_verb,), (c_noun,), (c_verb, c_verb), (c_noun, c_noun), (c_noun, c_verb))
-    tables = {
-        name: np.array(data.draw(st.lists(entries, min_size=math.prod(shape),
-                                          max_size=math.prod(shape)))).reshape(shape)
-        for name, shape in zip(TABLES, shapes)
-    }
+
+    def runs_of(shape):
+        size = math.prod(shape)
+        picks = np.repeat(gen.integers(len(pool), size=size), gen.geometric(1 / mean_run, size=size))
+        return pool[picks[:size]].reshape(shape)
+
     add_k = data.draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
-    stats = CoocStats(**tables, smoothing=SmoothingConfig(add_k=add_k),
+    stats = CoocStats(**{name: runs_of(shape) for name, shape in zip(TABLES, shapes)},
+                      smoothing=SmoothingConfig(add_k=add_k),
                       corpus_fingerprint=data.draw(st.text(max_size=8)))
     _assert_writes_json_dumps_and_reads_back(stats)
 
@@ -350,6 +358,10 @@ def _rows_across_blocks(rows):
                  id="repr_exponent_switches"),
     pytest.param([[0.25]], id="1x1"),
     pytest.param(np.full((4, 7), 1.0 / 7), id="all_equal"),
+    pytest.param(np.full((BLOCK + 1, 7), 1.0 / 7), id="all_equal_block+1_rows"),
+    # every row ends on the value the next row starts with
+    pytest.param(np.tile([0.25, 0.75], (BLOCK + 1, 4))[:, :7], id="alternating_rows"),
+    pytest.param([[-0.0] * 5 + [0.0] * 5, [0.0] * 5 + [-0.0] * 5], id="signed_zero_runs"),
     pytest.param(np.arange(1, 29, dtype=np.float64).reshape(4, 7) / 29.0, id="all_distinct"),
 ])
 def test_stats_json_equals_json_dumps_on_edge_tables(table):
@@ -606,6 +618,40 @@ def test_stats_load_peak_is_the_tables_not_the_text(tmp_path, lta_stats_text):
     assert peak <= held + 2 * stats.noun_transition.nbytes + 2**20
 
 
+def _dense_stats(c_verb=115, c_noun=478):
+    """Stats at the Ego4D-LTA vocabulary sizes whose table entries are all
+    distinct, so that no run is longer than one entry."""
+    gen = np.random.default_rng(13)
+    stats = CoocStats(
+        verb_marginal=gen.random(c_verb),
+        noun_marginal=gen.random(c_noun),
+        verb_transition=gen.random((c_verb, c_verb)),
+        noun_transition=gen.random((c_noun, c_noun)),
+        verb_given_noun=gen.random((c_noun, c_verb)),
+        smoothing=SmoothingConfig(),
+        corpus_fingerprint="dense",
+    )
+    assert len(np.unique(stats.noun_transition)) == stats.noun_transition.size
+    return stats
+
+
+def test_dense_stats_load_peak_stays_bounded(tmp_path):
+    """The reader's float memo is cleared when full, so loading a stats file
+    of about 300,000 distinct floats does not keep a float for each text."""
+    path = tmp_path / "stats.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        _dense_stats().to_json(handle)
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            before = tracemalloc.get_traced_memory()[0]
+            CoocStats.from_json(handle)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("mode", IndicatorMode)
 def test_first_score_row_call_peaks_at_two_tables(lta_stats_text, mode):
     """The first call on an axis peaks at two tables, on the 115-verb axis
@@ -645,3 +691,19 @@ def test_writer_and_score_table_peaks_stay_block_sized(lta_stats_text):
     assert write_peak < table_bytes
     for mode, peak in peaks.items():
         assert peak < 1.5 * table_bytes, mode
+
+
+def test_writer_peak_stays_block_sized_on_a_dense_table():
+    """With every entry distinct, each run is one entry and the writer's map
+    of spellings is cleared when full: the writer peaks below two noun
+    tables."""
+    stats = _dense_stats()
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as handle:
+            before = tracemalloc.get_traced_memory()[0]
+            stats.to_json(handle)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * stats.noun_transition.nbytes
