@@ -30,7 +30,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .vocab import ActionSequence, Vocabulary, json_numbers, record_id, validate_sequence
+from .vocab import JSON_SPACE, ActionSequence, Vocabulary, json_numbers, record_id, validate_sequence
 
 
 class IndicatorMode(Enum):
@@ -216,10 +216,10 @@ class _FloatMemo(dict):
 
 # Characters a stats file is read in at a time.
 _CHUNK = 1 << 16
-_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_WHITESPACE = re.compile(f"[{JSON_SPACE}]*")
 # What may follow a whole JSON value: one that ends the text read so far, or
 # that something else follows ("1.5" of "1.5e3"), may go on.
-_AFTER_VALUE = frozenset(" \t\n\r,:]}")
+_AFTER_VALUE = frozenset(JSON_SPACE + ",:]}")
 
 
 class _StatsReader:

@@ -101,16 +101,15 @@ def json_numbers(obj: dict, key: str) -> np.ndarray:
 # back as the same double, and of those the closest, in fixed notation when
 # 1e-4 <= |x| < 1e16. For |x| in [1e-4, 1e15), json_number_text finds those
 # digits for a whole array with numpy (Steele & White 1990; Adams 2018, "Ryu"):
-# - y = |x| * 10**p, with p = 16 - floor(log10 |x|) <= 20 so that 10**p is an
-#   exact double, is computed exactly as a sum hi + lo of doubles (Dekker 1971).
-#   log10 is not trusted: y must land in [1e16, 1e17).
+# - y = |x| * 10**p = hi + lo, with p = 16 - floor(log10 |x|) <= 20, is exact
+#   (_times_pow10). log10 is not trusted: y must land in [1e16, 1e17).
 # - The nearest decimal of n digits, D_n, reads back as x iff
-#   |D_n - y| < ulp(x) * 10**p / 2, an exact double. 17 digits always read
-#   back; 16 replace them where D_16 reads back, and 15 replace those where
-#   D_15 does, less their trailing zeros. Each test is exact: its one rounding
-#   keeps the sign of the exact difference, and the two sides are equal or
-#   further apart than that rounding (a point halfway between two doubles in
-#   this range has at least 19 significant digits, so no D_n lies on one).
+#   |D_n - y| < ulp(x) * 10**p / 2. 17 digits always read back; 16 replace
+#   them where D_16 reads back, and 15 replace those where D_15 does, less
+#   their trailing zeros. Each test is exact: its one rounding keeps the sign
+#   of the exact difference, and the two sides are equal or further apart
+#   than that rounding (a point halfway between two doubles in this range has
+#   at least 19 significant digits, so no D_n lies on one).
 # - A tie in rounding to 16 digits, or a misjudged exponent, flags the element,
 #   and repr spells the flagged ones and everything outside the range. A tie at
 #   17 digits occurs only where 16 digits read back, and one at 15 never reads
@@ -119,6 +118,9 @@ def json_numbers(obj: dict, key: str) -> np.ndarray:
 
 _POW10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # 10**0 .. 10**22, exact
 _VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two halves of 26 bits
+_EXPONENT_BITS = np.int64(0x7FF0_0000_0000_0000)
+_EXPONENTS = 19  # decimal exponents -4 .. 14, indexed by exponent + 4
+_E16, _E17 = 10**16, 10**17
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,12 +129,30 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
-# 10**(16 - e) for the decimal exponents e = -4 .. 14, indexed by e + 4, and its halves
-_SCALE = _POW10[20:1:-1].copy()
-_SCALE_HIGH, _SCALE_LOW = _split(_SCALE)
-_EXPONENTS = 19
-_E16, _E17 = 10**16, 10**17
-_EXPONENT_BITS = np.int64(0x7FF0_0000_0000_0000)
+_P_HIGH, _P_LOW = _split(_POW10)
+
+
+def _times_pow10(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, half_ulp) for float64 ``x`` and indices ``p`` of ``_POW10``,
+    clipped to 0 .. 22, the one exact step of both float kernels (Dekker 1971):
+    the four products of the 26-bit halves of x and of 10**p are exact, so
+    x * 10**p == hi + lo, hi the rounded product, unless it overflows or
+    underflows. half_ulp = 2**E * 10**p * 2**-53, E the binary exponent of x,
+    is half an ulp of a normal x times 10**p, and exact too."""
+    scale = _POW10.take(p, mode="clip")
+    scale_high = _P_HIGH.take(p, mode="clip")
+    scale_low = _P_LOW.take(p, mode="clip")
+    x_high, x_low = _split(x)
+    hi = x * scale
+    lo = x_high * scale_high
+    lo -= hi
+    lo += np.multiply(x_high, scale_low, out=x_high)
+    lo += np.multiply(x_low, scale_high, out=scale_high)
+    lo += np.multiply(x_low, scale_low, out=x_low)
+    half_ulp = np.bitwise_and(x.view(np.int64), _EXPONENT_BITS, out=x_low.view(np.int64)).view(np.float64)
+    half_ulp *= scale
+    half_ulp *= 2.0 ** -53
+    return hi, lo, half_ulp
 
 
 def _shortest_digits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,34 +170,20 @@ def _shortest_digits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     np.clip(t, -4.0, 14.0, out=t)
     t += 4.0
     index = t.astype(np.intp)
-    scale = _SCALE.take(index)
-    scale_high = _SCALE_HIGH.take(index)
-    scale_low = _SCALE_LOW.take(index)
-    # y = ax * scale = hi + lo exactly: Dekker's product of the halves
-    x_high, x_low = _split(ax)
-    hi = ax * scale
-    lo = x_high * scale_high
-    lo -= hi
-    lo += np.multiply(x_high, scale_low, out=x_high)
-    lo += np.multiply(x_low, scale_high, out=scale_high)
-    lo += np.multiply(x_low, scale_low, out=x_low)
+    hi, lo, bound = _times_pow10(ax, 20 - index)  # 10**(16 - e)
     # y = whole + rest exactly, whole the int64 nearest y and |rest| <= 0.5 a double;
     # hi >= 2**53 is an integer, |lo| <= 8, and lo - rint(lo) is exact
-    nearest = np.rint(lo, out=scale_low)
+    nearest = np.rint(lo, out=t)
     whole = hi.astype(np.int64)
     whole += nearest.astype(np.int64)
     rest = np.subtract(lo, nearest, out=lo)
     fallback |= whole < _E16  # a misjudged exponent
     fallback |= whole >= _E17
-    # half an ulp of ax, scaled: 2**E * scale * 2**-53, an exact double
-    bound = (ax.view(np.int64) & _EXPONENT_BITS).view(np.float64)
-    bound *= scale
-    bound *= 2.0 ** -53
     # whole mod 100 and whole mod 10, as exact floats
     hundreds = whole // 100
     hundreds *= 100
     mod_100 = np.subtract(whole, hundreds, out=hundreds).astype(np.float64)
-    mod_10 = np.multiply(mod_100, 0.1, out=scale)
+    mod_10 = np.multiply(mod_100, 0.1, out=ax)
     np.floor(mod_10, out=mod_10)
     mod_10 *= -10.0
     mod_10 += mod_100
@@ -190,9 +196,9 @@ def _shortest_digits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         up = past_half > 0
         if q == 10:
             fallback |= past_half == 0  # a tie at 16 digits; one at 15 never reads back
-        candidate = np.multiply(up, float(q), out=scale_high)
+        candidate = np.multiply(up, float(q), out=t)
         candidate -= mod
-        distance = np.subtract(candidate, rest, out=x_high)
+        distance = np.subtract(candidate, rest, out=past_half)
         np.abs(distance, out=distance)
         candidate -= offset
         candidate *= distance < bound
@@ -341,21 +347,18 @@ def _block_text(flat: np.ndarray, start: int, periods: list[int], brackets: int)
 #   time for the few tokens with more integer digits.
 # - If w <= 2**53, w / 10**p is one correctly rounded division of exact
 #   doubles. Otherwise q = float(w) / 10**p is within an ulp or two of w / 10**p,
-#   and D = w - q * 10**p, an exact Dekker product less one rounding, decides:
-#   |D| < B = ulp(q) * 10**p / 2 keeps q, and B < |D| < 3B takes q's neighbour
-#   on D's side. B and 3B are exact doubles and rounding is monotone, so a
-#   comparison may refuse a right value but never accepts a wrong one. A tie,
-#   and a q at or just above a power of two (where the spacing halves), are
-#   left undecided.
+#   and D = w - q * 10**p, an exact product (_times_pow10) less one rounding,
+#   decides: |D| < B = ulp(q) * 10**p / 2 keeps q, and B < |D| < 3B takes q's
+#   neighbour on D's side. B and 3B are exact doubles and rounding is
+#   monotone, so a comparison may refuse a right value but never accepts a
+#   wrong one. A tie, and a q at or just above a power of two (where the
+#   spacing halves), are left undecided.
 # - json.loads reads each token that is undecided, in exponent form, of more
 #   than 23 digits, or whose w would reach 9 * 10**18. Any token it reads as
 #   other than a float (an integer, true, a stray byte) leaves the whole array
 #   to json.loads.
 
-_P_HIGH, _P_LOW = _split(_POW10)
 _MANTISSA_BITS = np.int64(0x000F_FFFF_FFFF_FFFF)
-_SIGN = np.ones(256)  # by a token's first byte
-_SIGN[ord("-")] = -1.0
 _MINUS, _POINT, _ZERO, _COMMA, _SPACE, _OPEN, _CLOSE = b"-.0, []"
 # The words of a token's 24-byte tail are int64, whose shifts and products wrap
 # silently; a right shift copies the sign bit, which no byte of a token sets
@@ -411,7 +414,8 @@ def json_float_rows(line: bytes, start: int, stop: int) -> np.ndarray | None:
         end -= row_ends[i + 1:j + 1]
         whole, fraction, first, undecided = _token_digits(buf, windows, begin, end)
         block = _quotients(whole, fraction, undecided, values[i:j])
-        block *= _SIGN.take(first)
+        bits = block.view(np.int64)
+        bits ^= np.left_shift(first == _MINUS, 63, dtype=np.int64)  # the sign bit, -0.0 too
         for k in np.flatnonzero(undecided).tolist():
             try:  # as ASCII, so that json.loads takes no UTF-16 or UTF-32 for it
                 value = json.loads(line[begin[k]:end[k]].decode("ascii"))
@@ -485,24 +489,12 @@ def _quotients(whole: np.ndarray, fraction: np.ndarray, undecided: np.ndarray,
     """``out``, set to the doubles nearest whole / 10**fraction: exact up to
     2**53, else checked against a Dekker product. Where that decides no value,
     ``undecided`` is set and the value is any."""
-    scale = _POW10.take(fraction, mode="clip")
-    x = np.divide(whole, scale, out=out)
+    x = np.divide(whole, _POW10.take(fraction, mode="clip"), out=out)
     exact = whole <= 2**53
-    x_high, x_low = _split(x)
-    scale_high = _P_HIGH.take(fraction, mode="clip")
-    scale_low = _P_LOW.take(fraction, mode="clip")
-    hi = x * scale
-    lo = x_high * scale_high
-    lo -= hi
-    lo += np.multiply(x_high, scale_low, out=x_high)
-    lo += np.multiply(x_low, scale_high, out=scale_high)
-    lo += np.multiply(x_low, scale_low, out=x_low)
+    hi, lo, bound = _times_pow10(x, fraction)
     # hi is within a few ulps of whole > 2**53, so it is a whole number and whole - hi is exact
     diff = np.subtract(whole, hi.astype(np.int64), out=whole).astype(np.float64)
     diff -= lo
-    bound = (x.view(np.int64) & _EXPONENT_BITS).view(np.float64)
-    bound *= scale
-    bound *= 2.0 ** -53
     size = np.abs(diff, out=lo)
     decided = size < bound
     step = size > bound
@@ -545,9 +537,6 @@ class ActionSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
-
-    def __len__(self) -> int:
-        return len(self.actions)
 
     def to_json(self) -> str:
         return json.dumps({"episode_id": self.episode_id, "actions": self.actions})

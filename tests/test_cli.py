@@ -302,6 +302,7 @@ PINNED_SYNTH_EXPERIMENT = {
 }
 
 
+@pytest.mark.bits
 def test_synth_experiment_report_bytes_pinned(tmp_path):
     config, report = tmp_path / "synth.json", tmp_path / "exp.json"
     config.write_text(json.dumps(PINNED_SYNTH_EXPERIMENT))
@@ -753,6 +754,12 @@ def test_train_empty_actions_is_one_error_line(workspace, capsys, lineno):
     assert not (workspace / "ckpt.json").exists()
 
 
+def test_train_empty_dataset_is_one_error_line(workspace, capsys):
+    assert _train_cmd(workspace, []) == 1
+    assert capsys.readouterr().err == "error: empty training dataset\n"
+    assert not (workspace / "ckpt.json").exists()
+
+
 def test_train_empty_features_is_one_error_line(tmp_path):
     data, ckpt = tmp_path / "train.jsonl", tmp_path / "ckpt.json"
     data.write_text("".join(json.dumps({"features": [], "actions": [[i, i]]}) + "\n"
@@ -934,6 +941,7 @@ def test_sweep_writes_no_manifest(manifest_workspace):
     assert set(manifest_workspace.iterdir()) == before
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("smooth, digest, line", [
     ("off", "6fa73791671c29f51a90a2602a0db89ed1df58a3fe53a5c7cb59e14453a63a6d",
      "loss 11.0258 -> 4.7843"),
@@ -1046,15 +1054,19 @@ def _assert_no_output(ws, out="out.jsonl"):
 
 
 def _two_model_argv(ws, command, logits_b):
-    """refine (with stats, K=4) or ensemble over logits.jsonl and ``logits_b``, to out.jsonl."""
+    """refine (with stats, K=4) or ensemble over logits.jsonl and ``logits_b``, to out.jsonl,
+    or ensemble --sweep over them against corpus.jsonl."""
     if command == "ensemble":
         return ["ensemble", "--quiet", "--logits-a", str(ws / "logits.jsonl"),
                 "--logits-b", str(logits_b), "--out", str(ws / "out.jsonl")]
+    if command == "sweep":
+        return ["ensemble", "--sweep", "--logits-a", str(ws / "logits.jsonl"),
+                "--logits-b", str(logits_b), "--truth", str(ws / "corpus.jsonl")]
     return ["refine", "--quiet", "--stats", str(ws / "stats.json"), "--logits", str(ws / "logits.jsonl"),
             "--logits-b", str(logits_b), "--z", "6", "--k", "4", "--out", str(ws / "out.jsonl")]
 
 
-@pytest.mark.parametrize("command", ["refine", "ensemble"])
+@pytest.mark.parametrize("command", ["refine", "ensemble", "sweep"])
 @pytest.mark.parametrize("edit, counts", [
     (lambda lines: lines[:15], "20 vs 15"),
     (lambda lines: lines + lines[:5], "20 vs 25"),
@@ -1064,7 +1076,15 @@ def test_logits_files_differ_in_length_is_one_error_line(workspace, capsys, comm
     logits_b = workspace / "logits_b.jsonl"
     _write_lines(logits_b, edit((workspace / "logits.jsonl").read_text().splitlines()))
     assert main(_two_model_argv(workspace, command, logits_b)) == 1
-    assert capsys.readouterr().err == f"error: logits files differ in length: {counts}\n"
+    assert capsys.readouterr() == ("", f"error: logits files differ in length: {counts}\n")
+    _assert_no_output(workspace)
+
+
+@pytest.mark.parametrize("command, alpha", [("ensemble", "nan"), ("refine", "inf")])
+def test_non_finite_ensemble_weights_are_one_error_line(workspace, capsys, command, alpha):
+    assert _build_stats(workspace) == 0
+    assert main([*_two_model_argv(workspace, command, workspace / "logits.jsonl"), "--alpha", alpha]) == 1
+    assert capsys.readouterr().err == "error: ensemble weights must be finite\n"
     _assert_no_output(workspace)
 
 
@@ -1305,6 +1325,17 @@ def test_synth_config_whose_logits_can_overflow_is_one_error_line_and_no_file(tm
         1, f"error: {config}: bad synth config file: the corrupted logits can overflow: "
            "logit_scale + logit_noise_sigma * 8.571674348652905 must be finite\n"
     )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("subcommand", ["gen", "experiment"])
+def test_synth_config_not_a_json_object_is_one_error_line_and_no_file(tmp_path, capsys, subcommand):
+    config = tmp_path / "c.json"
+    config.write_text("[1, 2]")
+    outputs = {"gen": ["--out-corpus", tmp_path / "c.jsonl", "--out-logits", tmp_path / "l.jsonl"],
+               "experiment": ["--out", tmp_path / "r.json"]}[subcommand]
+    assert main([*map(str, ["synth", subcommand, "--quiet", "--config", config, *outputs])]) == 1
+    assert capsys.readouterr() == ("", f"error: {config}: bad synth config file: expected a JSON object\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 

@@ -302,6 +302,7 @@ def _assert_writes_json_dumps_and_reads_back(stats):
         assert getattr(back, name).tobytes() == np.array(plain[name], dtype=np.float64).tobytes()
 
 
+@pytest.mark.bits
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_stats_json_equals_json_dumps_property(data):
@@ -344,6 +345,7 @@ def _rows_across_blocks(rows):
                       np.full((rows, 1), 1 / 3), row % 5 / 5])
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("table", [
     *(pytest.param(_rows_across_blocks(rows), id=f"{name}_rows")
       for name, rows in (("1", 1), ("block-1", BLOCK - 1), ("block", BLOCK), ("block+1", BLOCK + 1),
@@ -586,6 +588,7 @@ def test_stream_that_cannot_seek_reads_and_fails_plainly():
         CoocStats.from_json(_Pipe(text[:-1]))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("mode", IndicatorMode)
 def test_score_table_equals_whole_expression_bytewise(mode):
     stats = _lta_sized_stats()

@@ -367,6 +367,7 @@ PINNED_TRAIN = {
 }
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("smoothing", [False, True], ids=["onehot", "smoothed"])
 def test_train_checkpoint_and_history_pinned(smoothing):
     dataset = [

@@ -201,6 +201,7 @@ def test_exp_kernel_keeps_its_input_and_shape():
     assert np.array_equal(x, kept, equal_nan=True)
 
 
+@pytest.mark.bits
 def test_exp_kernel_bits_pinned():
     """The kernel's bits over a fixed grid, whichever SIMD kernels numpy
     dispatches; CI runs this with numpy's AVX-512 kernels off too."""

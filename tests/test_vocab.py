@@ -230,6 +230,7 @@ def test_reader_holds_only_the_record_read_by_parse_line(tmp_path):
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6)
 
 
+@pytest.mark.bits
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     hnp.arrays(np.uint64, SHAPES).map(lambda bits: bits.view(np.float64)),  # any bit pattern
@@ -273,6 +274,7 @@ def _sweep_values() -> np.ndarray:
     ])
 
 
+@pytest.mark.bits
 def test_json_number_text_spells_each_value_as_repr_does():
     values = _sweep_values()
     assert values.size >= 2_000_000
@@ -300,6 +302,7 @@ def _rows_line(text: str) -> tuple[bytes, int, int]:
 ROW_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8)
 
 
+@pytest.mark.bits
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     hnp.arrays(np.uint64, ROW_SHAPES).map(lambda bits: bits.view(np.float64)),  # any bit pattern
@@ -349,6 +352,7 @@ HAND_PICKED = [
 ]
 
 
+@pytest.mark.bits
 def test_json_float_rows_reads_hand_picked_tokens_as_float_does():
     neighbours = _needs_a_neighbour(200)
     assert len(neighbours) == 200
@@ -360,6 +364,7 @@ def test_json_float_rows_reads_hand_picked_tokens_as_float_does():
     assert [value.hex() for value in rows[0].tolist()] == [float(token).hex() for token in tokens]
 
 
+@pytest.mark.bits
 def test_json_float_rows_reads_every_tenth_sweep_value_back():
     values = _sweep_values()[::10]
     values = values[np.isfinite(values)]
@@ -372,6 +377,7 @@ def test_json_float_rows_reads_every_tenth_sweep_value_back():
         pytest.fail(f"{len(wrong)} values read unlike float(), first {wrong[:5]}")
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("seed", [0, 1])
 def test_logits_lines_read_every_lta_value_as_json_loads_does(tmp_path, seed):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
