@@ -36,14 +36,13 @@ from .ensemble import (
     softmax_rows,
     weighted_sum,
 )
-from .metric import evaluate_corpus, index_truths
+from .metric import evaluate_corpus, index_truths, match_truths, min_normalized_ed, project_axis
 # load_predictions is not called here, but perfbench/tracing.py wraps it by
 # this name in this module, so it stays imported.
 from .refine import (  # noqa: F401
     TIER_RAW_ARGMAX,
     PredictionConfig,
     PredictionSet,
-    argmax_actions,
     dump_predictions,
     generate_patterns,
     load_predictions,
@@ -191,46 +190,60 @@ def _combined_logits(path_a: str, path_b: str, weights: EnsembleWeights) -> Iter
         raise ValueError(f"logits files differ in length: {n_a} vs {n_b}")
 
 
+_SWEEP_BLOCK_FLOATS = 1 << 13  # per block of the sweep's (pairs, rows, C) stacks, but >= one pair
+
+
 def _sweep(args) -> None:
     """Grid search over (alpha, beta) scored by raw-argmax action ED; writes no
     file. Every weight pair scores the whole dev split, so it is read whole,
-    each example pair is checked once and each axis's rows are stacked: a
-    weight pair is then one weighted sum, one softmax and one argmax per axis
-    over the stack, split back into one raw pattern per example."""
+    each example pair is checked once, each axis's rows are stacked, and the
+    split is checked against the truths as for eval and each truth tokenised.
+    A block of pairs is then one weighted sum, one softmax and one argmax per
+    axis over a (pairs, rows, C) stack, each pair's argmax ids split into one
+    raw pattern per example and scored as ``evaluate_corpus`` scores them."""
     a_list = load_logits(args.logits_a)
     b_list = load_logits(args.logits_b)
     if len(a_list) != len(b_list):
         raise ValueError(f"logits files differ in length: {len(a_list)} vs {len(b_list)}")
     truths = load_corpus(args.truth)
     try:
-        index_truths(truths)  # checked once, before the grid, so that a fault names the file
+        truth_by_id = index_truths(truths)  # checked first, so that a fault names the file
     except ValueError as exc:
         raise ValueError(f"{args.truth}: {exc}") from exc
     ids, ends, (a_verb, a_noun), (b_verb, b_noun) = _stack_pairs(args.logits_a, a_list, b_list)
     del a_list, b_list  # only the stacks are used from here on
     starts = [0, *ends[:-1]]
-    grid = [round(0.1 * i, 1) for i in range(0, 21)]
+    # eval's checks of the dev split against the truths, which read only ids and pattern lengths
+    shapes = (PredictionSet(example_id, ((None,) * (end - start),), (TIER_RAW_ARGMAX,))
+              for example_id, start, end in zip(ids, starts, ends))
+    try:
+        matched = [truth for _, truth in match_truths(shapes, truth_by_id)]
+    except ValueError as exc:
+        raise ValueError(f"{args.logits_a}: {exc}") from exc
+    dev = [(start, end, [project_axis(truth.actions, axis) for axis in ("action", "verb", "noun")])
+           for start, end, truth in zip(starts, ends, matched) if truth is not None]
+    pairs = [(round(0.1 * i, 1), round(0.1 * j, 1)) for i in range(21) for j in range(21) if i or j]
+    alphas, betas = np.array(pairs).T[:, :, None, None]
+    size = max(1, _SWEEP_BLOCK_FLOATS // (a_verb.size + a_noun.size))
     best = None
-    for alpha in grid:
-        for beta in grid:
-            if alpha == 0.0 and beta == 0.0:
-                continue
-            weights = EnsembleWeights(alpha=alpha, beta=beta)
-            verb = weighted_sum(a_verb, b_verb, weights)
-            noun = weighted_sum(a_noun, b_noun, weights)
-            if not (np.isfinite(verb).all() and np.isfinite(noun).all()):
-                finite_rows = np.isfinite(verb).all(axis=1) & np.isfinite(noun).all(axis=1)
-                example_id = ids[bisect.bisect_right(ends, int(finite_rows.argmin()))]
-                raise ValueError(f"example {example_id!r}: weighted logits must be finite "
-                                 f"(alpha={alpha}, beta={beta})")
-            actions = argmax_actions(softmax(verb), softmax(noun))
-            preds = [PredictionSet(example_id, (tuple(actions[start:end]),), (TIER_RAW_ARGMAX,))
-                     for example_id, start, end in zip(ids, starts, ends)]
-            try:
-                report = evaluate_corpus(preds, truths)
-            except ValueError as exc:  # the dev split against the truths, as for eval
-                raise ValueError(f"{args.logits_a}: {exc}") from exc
-            key = (report.ed_action, report.ed_verb, report.ed_noun)
+    for lo in range(0, len(pairs), size):
+        block = slice(lo, lo + size)
+        verb = weighted_sum(a_verb, b_verb, alphas[block], betas[block])
+        noun = weighted_sum(a_noun, b_noun, alphas[block], betas[block])
+        finite = np.isfinite(verb).all(axis=2) & np.isfinite(noun).all(axis=2)
+        if not finite.all():  # the first pair in grid order, at its first row
+            pair, row = divmod(int(finite.argmin()), finite.shape[1])
+            alpha, beta = pairs[lo + pair]
+            raise ValueError(f"example {ids[bisect.bisect_right(ends, row)]!r}: weighted logits "
+                             f"must be finite (alpha={alpha}, beta={beta})")
+        for (alpha, beta), verbs, nouns in zip(pairs[block], softmax(verb).argmax(axis=-1).tolist(),
+                                               softmax(noun).argmax(axis=-1).tolist()):
+            patterns = (list(zip(verbs, nouns)), verbs, nouns)
+            sums = [0.0, 0.0, 0.0]
+            for start, end, truth_tokens in dev:
+                for axis, (tokens, truth_axis) in enumerate(zip(patterns, truth_tokens)):
+                    sums[axis] += min_normalized_ed((tokens[start:end],), truth_axis)
+            key = tuple(total / len(dev) for total in sums)  # action, verb and noun ED
             if best is None or key < best[0]:
                 best = (key, alpha, beta)
     _, alpha, beta = best

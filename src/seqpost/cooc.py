@@ -66,9 +66,9 @@ class CoocStats:
     verb_given_noun: np.ndarray  # (C_noun, C_verb), row-stochastic
     smoothing: SmoothingConfig
     corpus_fingerprint: str
-    # transition_score_row's memo: (axis, mode) -> the row views of that
-    # pair's read-only (C, C) score table, built whole on first use.
-    # replace() starts with an empty memo.
+    # transition_score_row's memo: (axis, mode is AS_WRITTEN) -> the row views of
+    # that pair's read-only (C, C) score table, built whole on first use; a bool,
+    # as an Enum's hash is Python code. replace() starts with an empty memo.
     _score_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -388,7 +388,8 @@ def transition_score_row(
     The first call for an ``(axis, mode)`` computes that pair's whole (C, C)
     table, ``_BLOCK_ROWS`` rows at a time; every call returns a read-only row
     view of it."""
-    rows = stats._score_rows.get((axis, mode))
+    as_written = mode is IndicatorMode.AS_WRITTEN
+    rows = stats._score_rows.get((axis, as_written))
     if rows is None:
         lo, hi = stats.smoothing.prob_clamp_min, stats.smoothing.prob_clamp_max
         marginal = stats.marginal(axis)
@@ -398,7 +399,7 @@ def transition_score_row(
         for start in range(0, len(table), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             out = table[block]
-            if mode is IndicatorMode.AS_WRITTEN:
+            if as_written:
                 log_num = np.clip(transition[block], lo, hi)
             else:
                 log_num = transition[block] * marginal[block, None]
@@ -409,5 +410,5 @@ def transition_score_row(
             np.subtract(log_num, out, out=out)
             np.divide(out, np.negative(log_num, out=log_num), out=out)
         table.flags.writeable = False
-        rows = stats._score_rows[(axis, mode)] = list(table)
+        rows = stats._score_rows[(axis, as_written)] = list(table)
     return rows[prev]

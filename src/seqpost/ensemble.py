@@ -130,19 +130,19 @@ def check_pair(a: LogitsTensor, b: LogitsTensor) -> None:
         )
 
 
-def weighted_sum(a: np.ndarray, b: np.ndarray, w: EnsembleWeights) -> np.ndarray:
-    """alpha * a + beta * b, elementwise; an overflow gives inf or NaN, not a
-    numpy warning, for the caller to report."""
+def weighted_sum(a: np.ndarray, b: np.ndarray, alpha, beta) -> np.ndarray:
+    """alpha * a + beta * b, elementwise and broadcast; an overflow gives inf
+    or NaN, not a numpy warning, for the caller to report."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return w.alpha * a + w.beta * b
+        return alpha * a + beta * b
 
 
 def combine_logits(a: LogitsTensor, b: LogitsTensor, w: EnsembleWeights) -> LogitsTensor:
     """Elementwise alpha * a + beta * b on both axes; a sum that overflows is
     a ValueError naming the example."""
     check_pair(a, b)
-    verb = weighted_sum(a.verb_logits, b.verb_logits, w)
-    noun = weighted_sum(a.noun_logits, b.noun_logits, w)
+    verb = weighted_sum(a.verb_logits, b.verb_logits, w.alpha, w.beta)
+    noun = weighted_sum(a.noun_logits, b.noun_logits, w.alpha, w.beta)
     try:
         return LogitsTensor(example_id=a.example_id, verb_logits=verb, noun_logits=noun)
     except ValueError as exc:

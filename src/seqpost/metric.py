@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .refine import PredictionSet
 from .vocab import Action, ActionSequence
@@ -29,41 +29,30 @@ def edit_distance(a: Sequence, b: Sequence, allow_transposition: bool = True) ->
     Column j of the DP table is kept as two bit vectors (Python ints, so any
     length of ``a`` fits): bit i of ``vp``/``vn`` is set when
     D[i+1][j] - D[i][j] is +1/-1.  Each token of ``b`` updates the whole
-    column with a fixed number of integer operations; ``score`` tracks the
-    bottom cell D[len(a)][j].  Myers (1999) for Levenshtein; the
-    transposition term is Hyyro (2003), "A bit-vector algorithm for
-    computing Levenshtein and Damerau edit distances".
+    column with a fixed number of integer operations; the bottom cell is
+    len(b) plus the last column's deltas.  Myers (1999) for Levenshtein; the
+    transposition term is Hyyro (2003), "A bit-vector algorithm for computing
+    Levenshtein and Damerau edit distances".
     """
-    m = len(a)
-    if m == 0:
-        return len(b)
     peq: dict = {}  # token -> bit mask of its positions in a
     bit = 1
     for token in a:
         peq[token] = peq.get(token, 0) | bit
         bit <<= 1
     mask = bit - 1
-    top = bit >> 1
     vp, vn = mask, 0
     d0 = pm_prev = 0  # pm_prev stays 0 when transpositions are off
-    score = m
     for token in b:
         pm = peq.get(token, 0)
         # the transposition term reads the previous column's d0 and pm
         d0 = (((pm & vp) + vp) ^ vp) | pm | vn | (((~d0 & pm) << 1) & pm_prev)
-        hp = vn | ~(d0 | vp)
-        hn = vp & d0
-        if hp & top:
-            score += 1
-        elif hn & top:
-            score -= 1
-        hp = (hp << 1) | 1  # row 0 of the table grows by one per column
-        hn <<= 1
+        hp = ((vn | ~(d0 | vp)) << 1) | 1  # row 0 of the table grows by one per column
+        hn = (vp & d0) << 1
         vp = (hn | ~(d0 | hp)) & mask
         vn = hp & d0 & mask
         if allow_transposition:
             pm_prev = pm
-    return score
+    return len(b) + vp.bit_count() - vn.bit_count()
 
 
 def project_axis(actions: Sequence[Action], axis: str) -> Sequence:
@@ -78,6 +67,22 @@ def project_axis(actions: Sequence[Action], axis: str) -> Sequence:
     raise ValueError(f"unknown axis {axis!r}")
 
 
+def min_normalized_ed(patterns: Iterable[Sequence], truth: Sequence,
+                      allow_transposition: bool = True) -> float:
+    """min over ``patterns`` of edit_distance(pattern, truth) / len(truth), for
+    the tokens of one axis; ``truth`` must not be empty."""
+    z = len(truth)
+    return min(edit_distance(pattern, truth, allow_transposition) / z for pattern in patterns)
+
+
+def _check_lengths(preds: PredictionSet, truth: ActionSequence) -> None:
+    z = len(truth.actions)
+    for k, pattern in enumerate(preds.patterns):
+        if len(pattern) != z:
+            raise ValueError(f"example {preds.example_id!r}: pattern {k} has length {len(pattern)}, "
+                             f"truth has length {z}")
+
+
 def ed_at_k(
     preds: PredictionSet,
     truth: ActionSequence,
@@ -86,18 +91,9 @@ def ed_at_k(
 ) -> float:
     """min over patterns of edit_distance / len(truth) on one axis; ``truth``
     must have at least one action."""
-    z = len(truth.actions)
-    for k, pattern in enumerate(preds.patterns):
-        if len(pattern) != z:
-            raise ValueError(
-                f"example {preds.example_id!r}: pattern {k} has length "
-                f"{len(pattern)}, truth has length {z}"
-            )
-    truth_tokens = project_axis(truth.actions, axis)
-    return min(
-        edit_distance(project_axis(pattern, axis), truth_tokens, allow_transposition) / z
-        for pattern in preds.patterns
-    )
+    _check_lengths(preds, truth)
+    return min_normalized_ed((project_axis(pattern, axis) for pattern in preds.patterns),
+                             project_axis(truth.actions, axis), allow_transposition)
 
 
 @dataclass
@@ -129,6 +125,31 @@ def index_truths(truths: Iterable[ActionSequence]) -> dict[str, ActionSequence]:
     return truth_by_id
 
 
+def match_truths(
+    pred_sets: Iterable[PredictionSet], truth_by_id: dict[str, ActionSequence]
+) -> Iterator[tuple[PredictionSet, Optional[ActionSequence]]]:
+    """Each prediction set in order, with the truth of its example_id or None.
+    An example_id repeated in the predictions, or a matched pattern whose
+    length is not its truth's, is an error as it is read; zero matched examples
+    and a truth with no prediction (so leaving out a hard example cannot lower
+    the score) are errors after the last prediction."""
+    seen: set = set()
+    for preds in pred_sets:
+        if preds.example_id in seen:
+            raise ValueError(f"duplicate example_id {preds.example_id!r} in the predictions")
+        seen.add(preds.example_id)
+        truth = truth_by_id.get(preds.example_id)
+        if truth is not None:
+            _check_lengths(preds, truth)
+        yield preds, truth
+    if seen.isdisjoint(truth_by_id):
+        raise ValueError("zero matched examples")
+    missing = [truth_id for truth_id in truth_by_id if truth_id not in seen]
+    if missing:
+        raise ValueError(f"{len(missing)} of {len(truth_by_id)} truth examples have no prediction "
+                         f"(first {missing[0]!r})")
+
+
 def evaluate_corpus(
     pred_sets: list[PredictionSet],
     truths: list[ActionSequence],
@@ -138,22 +159,13 @@ def evaluate_corpus(
     """Mean min-over-K normalized edit distance per axis over a corpus.
 
     Predictions whose example_id has no truth are counted as unmatched and
-    excluded. Zero matched examples, a truth with no prediction (so leaving
-    out a hard example cannot lower the score) and an example_id repeated in
-    either input are errors. The truths are checked before the first
-    prediction is read, so a fault found while scoring a prediction is that
-    prediction's.
+    excluded. The truths are checked before the first prediction is read, so
+    a fault ``match_truths`` finds in a prediction is that prediction's.
     """
-    truth_by_id = index_truths(truths)
-    seen: set = set()
     per_example: list[dict] = []
     sums = {"verb": 0.0, "noun": 0.0, "action": 0.0}
     unmatched = 0
-    for preds in pred_sets:
-        if preds.example_id in seen:
-            raise ValueError(f"duplicate example_id {preds.example_id!r} in the predictions")
-        seen.add(preds.example_id)
-        truth = truth_by_id.get(preds.example_id)
+    for preds, truth in match_truths(pred_sets, index_truths(truths)):
         if truth is None:
             unmatched += 1
             continue
@@ -164,12 +176,6 @@ def evaluate_corpus(
         for axis in sums:
             sums[axis] += triple[axis]
         per_example.append({"example_id": preds.example_id, **triple})
-    if not per_example:
-        raise ValueError("zero matched examples")
-    missing = [truth_id for truth_id in truth_by_id if truth_id not in seen]
-    if missing:
-        raise ValueError(f"{len(missing)} of {len(truth_by_id)} truth examples have no prediction "
-                         f"(first {missing[0]!r})")
     n = len(per_example)
     return EvalReport(
         ed_verb=sums["verb"] / n,

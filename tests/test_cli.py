@@ -1490,6 +1490,64 @@ def test_sweep_overflow_names_the_first_example_the_per_example_loop_names(tmp_p
     assert capsys.readouterr().err == f"error: {excinfo.value}\n"
 
 
+def _pairs_per_block(steps, c_verb, c_noun):
+    return max(1, seqpost.cli._SWEEP_BLOCK_FLOATS // (sum(steps) * (c_verb + c_noun)))
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("steps, c_verb, c_noun, drop_truth, per_block", [
+    ([3, 5, 2], 3, 4, False, 117),
+    ([7, 6], 30, 40, True, 9),
+    ([5, 4], 120, 130, False, 3),
+    ([2, 2], 1000, 1100, False, 1),
+], ids=["117_per_block", "9_per_block_one_unmatched", "3_per_block", "1_per_block"])
+def test_sweep_prints_what_the_per_example_loop_prints_at_block_edges(
+        tmp_path, capsys, steps, c_verb, c_noun, drop_truth, per_block):
+    assert _pairs_per_block(steps, c_verb, c_noun) == per_block  # so blocks end inside the grid
+    paths = _dev_split(tmp_path, 8, steps, c_verb=c_verb, c_noun=c_noun)
+    if drop_truth:  # the dev split's first example has no truth, so it is not scored
+        _write_lines(paths[2], paths[2].read_text().splitlines()[1:])
+    scores = sweep_scores(load_logits(str(paths[0])), load_logits(str(paths[1])), load_corpus(str(paths[2])))
+    assert main(_sweep_argv(paths)) == 0
+    assert capsys.readouterr() == (sweep_stdout(scores), "")
+
+
+@pytest.mark.bits
+def test_sweep_overflow_first_in_a_later_block_is_the_per_example_loops_error(tmp_path, capsys):
+    steps = [2, 3, 2]
+    per_block = _pairs_per_block(steps, 3, 4)
+    paths = _dev_split(tmp_path, 9, steps, same_models=True)
+    tensors = load_logits(str(paths[0]))
+    # dev1 overflows once alpha + beta >= 3.6 and dev2 once it is >= 3.0: the
+    # first such pair in grid order, (1.0, 2.0), is pair 229, so the error
+    # names dev2 although dev1's rows come first
+    tensors[1].noun_logits[1, 2] = 5e307
+    tensors[2].verb_logits[0, 1] = 6e307
+    for path in paths[:2]:
+        dump_logits(tensors, str(path))
+    with pytest.raises(ValueError) as excinfo:
+        sweep_scores(tensors, tensors, load_corpus(str(paths[2])))
+    assert str(excinfo.value) == "example 'dev2': weighted logits must be finite (alpha=1.0, beta=2.0)"
+    # the pair's block is not the first, and holds finite pairs before it
+    assert per_block <= 229 and 229 % per_block > 0
+    assert main(_sweep_argv(paths)) == 1  # any numpy warning would be an error here
+    assert capsys.readouterr() == ("", f"error: {excinfo.value}\n")
+
+
+def test_sweep_calls_edit_distance_three_times_per_dev_example_and_pair(tmp_path, monkeypatch):
+    calls = []
+    edit_distance = seqpost.metric.edit_distance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return edit_distance(*args, **kwargs)
+
+    monkeypatch.setattr(seqpost.metric, "edit_distance", counting)
+    paths = _dev_split(tmp_path, 10, [3, 5, 1, 4])
+    assert main(_sweep_argv(paths)) == 0
+    assert len(calls) == 440 * 4 * 3
+
+
 def test_sweep_of_an_empty_dev_split_is_one_error_line(tmp_path, capsys):
     paths = _dev_split(tmp_path, 5, [])
     assert main(_sweep_argv(paths)) == 1
