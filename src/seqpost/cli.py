@@ -57,7 +57,9 @@ from .synth import (
 # validate_sequence is not called here (build_stats validates each sequence),
 # but perfbench/tracing.py wraps it by this name in this module and raises a
 # KeyError if the name is gone, so it stays imported.
-from .vocab import Vocabulary, dump_corpus, iter_numbered_records, load_corpus, validate_sequence  # noqa: F401
+from .vocab import (  # noqa: F401
+    Vocabulary, dump_corpus, dump_records, iter_numbered_records, load_corpus, validate_sequence,
+)
 
 
 class InPath(str):
@@ -100,8 +102,12 @@ def _write_manifest(args, path_dests, outputs, file_config, seed):
         "config": {**{k: v for k, v in options.items() if k not in path_dests}, **file_config},
         "outputs": {p: _sha256_file(p) for p in outputs},
     }
-    with open(args.manifest or outputs[0] + ".manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+    _dump_pretty_json(manifest, args.manifest or outputs[0] + ".manifest.json")
+
+
+def _dump_pretty_json(obj, path: str) -> None:
+    with open(path, "w") as handle:
+        json.dump(obj, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -285,9 +291,7 @@ def cmd_refine(args) -> list[str]:
     the number of examples only by their predictions."""
     if args.k >= 2 and not args.stats:
         raise ValueError("refinement (k >= 2) requires --stats")
-    stats = None
-    if args.stats:
-        stats = _load_file(args.stats, CoocStats.from_json, "stats")
+    stats = _load_file(args.stats, CoocStats.from_json, "stats") if args.stats else None
     if args.logits_b:
         tensors = _combined_logits(args.logits, args.logits_b, EnsembleWeights(alpha=args.alpha, beta=args.beta))
     else:
@@ -306,13 +310,10 @@ def cmd_refine(args) -> list[str]:
                 f"{args.logits}: example {tensor.example_id!r} has {tensor.num_steps} steps, "
                 f"expected {args.z}"
             )
-        classes = (tensor.verb_logits.shape[1], tensor.noun_logits.shape[1])
-        if stats is not None and classes != (stats.c_verb, stats.c_noun):
-            raise ValueError(
-                f"{args.logits}: example {tensor.example_id!r} has {classes[0]} verb and "
-                f"{classes[1]} noun classes, {args.stats} has {stats.c_verb} and {stats.c_noun}"
-            )
-        pred_sets.append(generate_patterns(softmax_rows(tensor), stats, pred_cfg, stream=stream))
+        try:
+            pred_sets.append(generate_patterns(softmax_rows(tensor), stats, pred_cfg, stream=stream))
+        except ValueError as exc:  # only a class count that differs from the stats'
+            raise ValueError(f"{args.logits}: {exc} ({args.stats})") from exc
         stream += 1
         del tensor  # freed before the next example is read
     dump_predictions(pred_sets, args.out)
@@ -351,8 +352,7 @@ def cmd_train(args) -> list[str]:
         rng_seed=args.seed,
     )
     trained, history = train(dec, dataset, cfg)
-    with open(args.out, "w") as handle:
-        handle.write(trained.to_json() + "\n")
+    dump_records([trained], args.out)
     _say(args, f"trained {len(dataset)} examples for {cfg.epochs} epochs; "
                f"loss {history[0]:.4f} -> {history[-1]:.4f} -> {args.out}")
     return [args.out]
@@ -387,8 +387,7 @@ def cmd_eval(args) -> list[str]:
         if where is None:
             raise
         raise ValueError(f"{where}: {exc}") from exc
-    with open(args.out, "w") as handle:
-        handle.write(report.to_json() + "\n")
+    dump_records([report], args.out)
     _say(args, f"Verb {report.ed_verb:.4f}  Noun {report.ed_noun:.4f}  Action {report.ed_action:.4f}"
                f"  ({report.n_examples} examples, {report.unmatched} unmatched)")
     return [args.out]
@@ -431,10 +430,8 @@ def cmd_synth_gen(args) -> tuple[list[str], dict, int]:
     if args.out_vocab_prefix:
         verb_vocab, noun_vocab = make_vocabularies(cfg)
         for vocab, suffix in ((verb_vocab, "verb"), (noun_vocab, "noun")):
-            path = f"{args.out_vocab_prefix}.{suffix}.json"
-            with open(path, "w") as handle:
-                handle.write(vocab.to_json() + "\n")
-            outputs.append(path)
+            outputs.append(f"{args.out_vocab_prefix}.{suffix}.json")
+            dump_records([vocab], outputs[-1])
     _say(args, f"{len(corpus)} sequences -> {args.out_corpus}")
     return outputs, raw, cfg.rng_seed
 
@@ -447,9 +444,7 @@ def cmd_synth_experiment(args) -> tuple[list[str], dict, int]:
         raise ValueError(f"{args.config}: bad synth config file: {exc}") from exc
     if not args.per_example:
         report.pop("per_example")
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _dump_pretty_json(report, args.out)
     raw_ed = report["raw"]["ed_action"]
     ref_ed = report["refined"]["ed_action"]
     _say(args, f"action ED raw {raw_ed:.4f} vs refined {ref_ed:.4f} "

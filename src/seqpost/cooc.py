@@ -216,10 +216,10 @@ class _FloatMemo(dict):
 
 # Characters a stats file is read in at a time.
 _CHUNK = 1 << 16
-_WHITESPACE = re.compile(f"[{JSON_SPACE}]*")
+_WHITESPACE = re.compile(f"[{JSON_SPACE.decode()}]*")
 # What may follow a whole JSON value: one that ends the text read so far, or
 # that something else follows ("1.5" of "1.5e3"), may go on.
-_AFTER_VALUE = frozenset(JSON_SPACE + ",:]}")
+_AFTER_VALUE = frozenset(JSON_SPACE.decode() + ",:]}")
 
 
 class _StatsReader:

@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .vocab import JSON_SPACE, iter_records, json_float_rows, json_number_text, json_numbers, record_id
+from .vocab import (
+    JSON_SPACE, dump_records, iter_records, json_float_rows, json_number_text, json_numbers, record_id,
+)
 
 # A logits line as json.dumps lays it out, with the id's text between the first two parts
 _HEAD, _VERB, _NOUN, _TAIL = b'{"example_id": "', b'", "verb_logits": [[', b']], "noun_logits": [[', b"]]}"
-_JSON_SPACE = JSON_SPACE.encode()
 
 
 @dataclass(frozen=True)
@@ -74,23 +75,19 @@ class LogitsTensor:
         whitespace around it and an id of printable ASCII with no escapes, its
         arrays read by ``json_float_rows``: the record, or the ValueError, that
         ``from_obj`` gives for ``json.loads`` of the line. None for any other
-        line, which ``json.loads`` must read."""
-        start, stop = 0, len(line)
-        while start < stop and line[start] in _JSON_SPACE:
-            start += 1
-        while stop > start and line[stop - 1] in _JSON_SPACE:
-            stop -= 1
-        if not (line.startswith(_HEAD, start) and line.endswith(_TAIL, start, stop)):
+        line, which ``json.loads`` must read. ``bytes.strip`` returns a stripped line uncopied."""
+        line = line.strip(JSON_SPACE)
+        if not (line.startswith(_HEAD) and line.endswith(_TAIL)):
             return None
-        quote = line.find(b'"', start + len(_HEAD), stop)
-        example_id = line[start + len(_HEAD):quote]
+        quote = line.find(b'"', len(_HEAD))
+        example_id = line[len(_HEAD):quote]
         verb = quote + len(_VERB)
-        noun = line.find(_NOUN, verb, stop)
+        noun = line.find(_NOUN, verb)
         if (quote < 0 or noun < 0 or not line.startswith(_VERB, quote) or not example_id.isascii()
                 or b"\\" in example_id or not example_id.decode("ascii").isprintable()):
             return None
         verb_logits = json_float_rows(line, verb, noun)
-        noun_logits = json_float_rows(line, noun + len(_NOUN), stop - len(_TAIL))
+        noun_logits = json_float_rows(line, noun + len(_NOUN), len(line) - len(_TAIL))
         if verb_logits is None or noun_logits is None:
             return None
         return cls(example_id.decode("ascii"), verb_logits, noun_logits)
@@ -224,7 +221,4 @@ def load_logits(path: str) -> list[LogitsTensor]:
     return list(iter_logits(path))
 
 
-def dump_logits(tensors: Iterable[LogitsTensor], path: str) -> None:
-    with open(path, "w") as handle:
-        for tensor in tensors:
-            handle.write(tensor.to_json() + "\n")
+dump_logits = dump_records

@@ -27,7 +27,7 @@ import numpy as np
 from .cooc import CoocStats, IndicatorMode, transition_score_row
 from .ensemble import StepDistributions
 from .rng import CounterRng
-from .vocab import Action, iter_records, parse_actions, record_id
+from .vocab import Action, dump_records, iter_records, parse_actions, record_id
 
 TIER_RAW_ARGMAX = "raw_argmax"
 TIER_REFINED_ARGMAX = "refined_argmax"
@@ -160,13 +160,17 @@ def _sequential_pattern(
 
 
 def generate_patterns(
-    dists: StepDistributions, stats: CoocStats, cfg: PredictionConfig, stream: int = 0
+    dists: StepDistributions, stats: Optional[CoocStats], cfg: PredictionConfig, stream: int = 0
 ) -> PredictionSet:
     """Produce the K tiered patterns for one example.
 
     ``stream`` selects an independent PRNG stream (callers pass the example
-    index) so per-example work can be scheduled in any order.
-    """
+    index) so per-example work can be scheduled in any order. Distributions whose
+    class counts differ from ``stats``' are a ValueError naming the example."""
+    classes = (dists.verb_probs.shape[1], dists.noun_probs.shape[1])
+    if stats is not None and classes != (stats.c_verb, stats.c_noun):
+        raise ValueError(f"example {dists.example_id!r} has {classes[0]} verb and {classes[1]} noun "
+                         f"classes, the stats have {stats.c_verb} and {stats.c_noun}")
     patterns: list[tuple[Action, ...]] = []
     tiers: list[str] = []
 
@@ -191,7 +195,4 @@ def load_predictions(path: str) -> list[PredictionSet]:
     return list(iter_records(path, PredictionSet.from_obj, "prediction"))
 
 
-def dump_predictions(pred_sets: list[PredictionSet], path: str) -> None:
-    with open(path, "w") as handle:
-        for preds in pred_sets:
-            handle.write(preds.to_json() + "\n")
+dump_predictions = dump_records

@@ -132,14 +132,14 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _P_HIGH, _P_LOW = _split(_POW10)
 
 
-def _times_pow10(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hi, lo, half_ulp) for float64 ``x`` and indices ``p`` of ``_POW10``,
-    clipped to 0 .. 22, the one exact step of both float kernels (Dekker 1971):
-    the four products of the 26-bit halves of x and of 10**p are exact, so
-    x * 10**p == hi + lo, hi the rounded product, unless it overflows or
-    underflows. half_ulp = 2**E * 10**p * 2**-53, E the binary exponent of x,
-    is half an ulp of a normal x times 10**p, and exact too."""
-    scale = _POW10.take(p, mode="clip")
+def _times_pow10(x: np.ndarray, p: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, half_ulp) for float64 ``x``, indices ``p`` of ``_POW10`` clipped
+    to 0 .. 22 and ``scale``, the caller's ``_POW10.take(p, mode="clip")``; the
+    one exact step of both float kernels (Dekker 1971): the four products of
+    the 26-bit halves of x and of 10**p are exact, so x * 10**p == hi + lo, hi
+    the rounded product, unless it overflows or underflows. half_ulp = 2**E *
+    10**p * 2**-53, E the binary exponent of x, is half an ulp of a normal x
+    times 10**p, and exact too."""
     scale_high = _P_HIGH.take(p, mode="clip")
     scale_low = _P_LOW.take(p, mode="clip")
     x_high, x_low = _split(x)
@@ -170,7 +170,8 @@ def _shortest_digits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     np.clip(t, -4.0, 14.0, out=t)
     t += 4.0
     index = t.astype(np.intp)
-    hi, lo, bound = _times_pow10(ax, 20 - index)  # 10**(16 - e)
+    p = 20 - index  # 10**(16 - e)
+    hi, lo, bound = _times_pow10(ax, p, _POW10.take(p, mode="clip"))
     # y = whole + rest exactly, whole the int64 nearest y and |rest| <= 0.5 a double;
     # hi >= 2**53 is an integer, |lo| <= 8, and lo - rint(lo) is exact
     nearest = np.rint(lo, out=t)
@@ -489,9 +490,10 @@ def _quotients(whole: np.ndarray, fraction: np.ndarray, undecided: np.ndarray,
     """``out``, set to the doubles nearest whole / 10**fraction: exact up to
     2**53, else checked against a Dekker product. Where that decides no value,
     ``undecided`` is set and the value is any."""
-    x = np.divide(whole, _POW10.take(fraction, mode="clip"), out=out)
+    scale = _POW10.take(fraction, mode="clip")
+    x = np.divide(whole, scale, out=out)
     exact = whole <= 2**53
-    hi, lo, bound = _times_pow10(x, fraction)
+    hi, lo, bound = _times_pow10(x, fraction, scale)
     # hi is within a few ulps of whole > 2**53, so it is a whole number and whole - hi is exact
     diff = np.subtract(whole, hi.astype(np.int64), out=whole).astype(np.float64)
     diff -= lo
@@ -568,58 +570,51 @@ def load_corpus(path: str) -> list[ActionSequence]:
     return list(iter_records(path, ActionSequence.from_obj, "sequence"))
 
 
-def dump_corpus(corpus: Iterable[ActionSequence], path: str) -> None:
+def dump_records(records: Iterable, path: str) -> None:
+    """Write each record's ``to_json()`` on a line of its own."""
     with open(path, "w") as handle:
-        for seq in corpus:
-            handle.write(seq.to_json() + "\n")
+        for record in records:
+            handle.write(record.to_json() + "\n")
+
+
+dump_corpus = dump_records
 
 
 # Lines longer than this many bytes are offered to an iter_numbered_records
 # caller's parse_line before json.loads: below it, json.loads reads a logits
 # line faster than json_float_rows does.
 PARSE_LINE_BYTES = 20_000
-JSON_SPACE = " \t\n\r"  # what JSON allows around a value; str.strip() also strips U+00A0 and the like
+JSON_SPACE = b" \t\n\r"  # what JSON allows around a value; bytes.strip() also strips \x0b and \x0c
 
 
 def iter_numbered_records(path: str, parse: Callable[[dict], T], kind: str,
                           parse_line: Callable[[bytes], T | None] | None = None) -> Iterator[tuple[int, T]]:
-    """(lineno, ``parse`` of the record) for each non-empty line of a JSONL file; a fault names
-    ``path:lineno``. ``parse_line``, if given, first gets each line longer than
-    ``PARSE_LINE_BYTES``, its bytes as read, and returns its record, or None to leave
-    the line to ``json.loads`` and ``parse``; it must give the record or raise the error they
-    would. Each form of a line is dropped once the next is made, and the record is handed over
-    rather than kept, so the suspended reader holds nothing of the lines it read.
-    ``enumerate``'s reused tuple would keep the last line's bytes."""
+    """(lineno, ``parse`` of the record) for each line of a JSONL file, stripped of JSON whitespace
+    once, that is not empty; a fault names ``path:lineno``. ``parse_line``, if given, first gets
+    each stripped line longer than ``PARSE_LINE_BYTES`` and returns its record, or None to leave
+    it to ``json.loads`` and ``parse``; it must give the record or raise the error they would.
+    The line is dropped and the record handed over before the yield, so the suspended reader
+    holds nothing of the lines it read; ``enumerate``'s reused tuple would keep the last line."""
     with open(path, "rb") as handle:
         lineno = 0
-        for raw in handle:
+        for line in handle:
             lineno += 1
+            line = line.strip(JSON_SPACE)
+            if not line:
+                continue
             record = [None]
-            if parse_line is not None and len(raw) > PARSE_LINE_BYTES:
-                try:
-                    record[0] = parse_line(raw)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
-            if record[0] is None:
-                try:
-                    line = raw.decode().strip(JSON_SPACE)
-                except UnicodeDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-                del raw
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                del line
-                try:
-                    record[0] = parse(obj)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
-                del obj
-            else:
-                del raw
+            try:  # both decode errors are ValueErrors, so they are caught first
+                if parse_line is not None and len(line) > PARSE_LINE_BYTES:
+                    record[0] = parse_line(line)
+                if record[0] is None:
+                    record[0] = parse(json.loads(line.decode()))
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
+            del line
             yield lineno, record.pop()  # popped, as a name would hold it until the next line
 
 

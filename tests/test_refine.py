@@ -200,6 +200,20 @@ def test_pattern_zero_never_consults_stats():
     assert good.patterns[0] == corrupted.patterns[0]
 
 
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("c_verb, c_noun", [(3, 3), (2, 5), (3, 5), (1, 3)],
+                         ids=["more_verbs", "more_nouns", "both", "fewer_verbs"])
+def test_class_counts_other_than_the_stats_name_the_example(c_verb, c_noun, k):
+    # unchecked, more classes than the stats index past a score row (an IndexError);
+    # K=1 reads no stats, but stats it is given must still fit
+    dists = _synthetic_dists(0, c_verb=c_verb, c_noun=c_noun, example_id="ex7")
+    stats = _corpus_stats(c_verb=2, c_noun=3)
+    with pytest.raises(ValueError, match=f"^example 'ex7' has {c_verb} verb and {c_noun} noun classes, "
+                                         "the stats have 2 and 3$"):
+        generate_patterns(dists, stats, PredictionConfig(num_patterns=k))
+    assert generate_patterns(dists, None, PredictionConfig(num_patterns=1)).tiers == (TIER_RAW_ARGMAX,)
+
+
 def test_patterns_validate_against_vocabularies():
     c_verb, c_noun = 3, 4
     preds = generate_patterns(

@@ -185,6 +185,31 @@ def test_reader_strips_only_json_whitespace(tmp_path, space):
     assert list(iter_numbered_records(str(path), lambda obj: obj["n"], "test")) == [(1, 0)]
 
 
+def _recording(seen):
+    def parse_line(line):
+        seen.append(line)
+        return len(line)
+    return parse_line
+
+
+def test_reader_hands_parse_line_a_long_line_stripped_of_json_whitespace(tmp_path):
+    path = tmp_path / "records.jsonl"
+    record = json.dumps({"x": list(range(PARSE_LINE_BYTES // 4))}).encode()
+    assert len(record) > PARSE_LINE_BYTES
+    path.write_bytes(b"{}\n \t " + record + b"\r\n")
+    seen = []
+    assert list(iter_numbered_records(str(path), len, "test", _recording(seen))) == [(1, 0), (2, len(record))]
+    assert seen == [record]
+
+
+def test_reader_skips_a_long_line_of_spaces_without_calling_parse_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b" " * (PARSE_LINE_BYTES + 1) + b"\r\n{}\n")
+    seen = []
+    assert list(iter_numbered_records(str(path), len, "test", _recording(seen))) == [(2, 0)]
+    assert seen == []
+
+
 def _assert_reader_holds_only_the_record(path, line, records, count):
     tracemalloc.start()
     try:
@@ -464,3 +489,20 @@ def test_a_long_logits_line_reads_as_json_loads_reads_it(tmp_path, name):
 # the lines above that the kernel reads itself; it leaves every other one to json.loads whole
 TAKEN_BY_THE_KERNEL = {"as_written", "spaced", "steps_differ", "token_1e400", "token_-1e400", "token_1e5",
                        "token_NaN", "token_-Infinity", "token_ 1.5", "token_1.5 "}
+
+
+@pytest.mark.parametrize("line, message", [
+    (VARIANTS["token_NaN"].encode(), "bad logits record: logits must be finite"),  # read by the kernel
+    (WIDE_LINE[:-1].encode(), "invalid JSON: "),
+    (WIDE_LINE.encode().replace(b'"ex0"', b'"\xe9x0"'), "not UTF-8: "),
+    (WIDE_LINE.replace(", ", ",").replace('"noun_logits"', '"nouns"').encode(),
+     "bad logits record: 'noun_logits'"),  # read by json.loads, refused by parse
+], ids=["kernel", "json_loads", "utf8", "parse"])
+def test_a_bad_long_line_is_named_by_its_line_on_each_path(tmp_path, line, message):
+    path = tmp_path / "logits.jsonl"
+    path.write_bytes(WIDE_LINE.encode() + b"\n\n " + line + b"\r\n")
+    records = iter_logits(str(path))
+    assert next(records).example_id == "ex0"
+    with pytest.raises(ValueError) as excinfo:
+        next(records)
+    assert str(excinfo.value).startswith(f"{path}:3: {message}")
