@@ -285,10 +285,10 @@ def _stack_pairs(path_a: str, a_list: list[LogitsTensor], b_list: list[LogitsTen
 
 
 def cmd_refine(args) -> list[str]:
-    """Refine each example as it is read. Memory holds one record per logits
-    file (and their combined logits), the stats and their score tables, and
-    the predictions, which are held until they are written; so it grows with
-    the number of examples only by their predictions."""
+    """Refine each example as it is read. Memory holds one block of lines or
+    records per logits file (see ``iter_numbered_records``) and the combined
+    logits, the stats and their score tables, and the predictions, held until
+    they are written; so it grows with the examples only by their predictions."""
     if args.k >= 2 and not args.stats:
         raise ValueError("refinement (k >= 2) requires --stats")
     stats = _load_file(args.stats, CoocStats.from_json, "stats") if args.stats else None

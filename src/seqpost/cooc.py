@@ -290,6 +290,8 @@ class _StatsReader:
     def _value(self):
         """Move past whitespace and the value after it; that value."""
         self._skip_ws()
+        while self.buf.find("]", self.pos) < 0 and self._more():
+            pass  # a table row the buffer cuts off would fail to decode
         while True:
             try:
                 value, end = self.decoder.raw_decode(self.buf, self.pos)

@@ -14,6 +14,7 @@ dispatches and whichever C library the host has.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator
@@ -21,11 +22,13 @@ from typing import Iterator
 import numpy as np
 
 from .vocab import (
-    JSON_SPACE, dump_records, iter_records, json_float_rows, json_number_text, json_numbers, record_id,
+    dump_records, iter_records, json_float_rows, json_number_text, json_numbers, record_id,
 )
 
 # A logits line as json.dumps lays it out, with the id's text between the first two parts
 _HEAD, _VERB, _NOUN, _TAIL = b'{"example_id": "', b'", "verb_logits": [[', b']], "noun_logits": [[', b"]]}"
+# A block's rows are joined as one array, padded as json_float_rows reads none in a text's first 24 bytes
+_JOIN, _PAD = b"], [", b" " * 22 + b"[["
 
 
 @dataclass(frozen=True)
@@ -70,27 +73,46 @@ class LogitsTensor:
         )
 
     @classmethod
-    def from_line(cls, line: bytes) -> "LogitsTensor | None":
-        """The record of a line laid out as ``to_json`` writes it, with JSON
-        whitespace around it and an id of printable ASCII with no escapes, its
-        arrays read by ``json_float_rows``: the record, or the ValueError, that
-        ``from_obj`` gives for ``json.loads`` of the line. None for any other
-        line, which ``json.loads`` must read. ``bytes.strip`` returns a stripped line uncopied."""
-        line = line.strip(JSON_SPACE)
-        if not (line.startswith(_HEAD) and line.endswith(_TAIL)):
-            return None
-        quote = line.find(b'"', len(_HEAD))
-        example_id = line[len(_HEAD):quote]
-        verb = quote + len(_VERB)
-        noun = line.find(_NOUN, verb)
-        if (quote < 0 or noun < 0 or not line.startswith(_VERB, quote) or not example_id.isascii()
-                or b"\\" in example_id or not example_id.decode("ascii").isprintable()):
-            return None
-        verb_logits = json_float_rows(line, verb, noun)
-        noun_logits = json_float_rows(line, noun + len(_NOUN), len(line) - len(_TAIL))
-        if verb_logits is None or noun_logits is None:
-            return None
-        return cls(example_id.decode("ascii"), verb_logits, noun_logits)
+    def from_lines(cls, lines: list[bytes]) -> list["LogitsTensor | None"]:
+        """For each stripped line, the record ``from_obj`` gives for ``json.loads`` of it, or None
+        where ``json.loads`` must read it: a line ``_head`` or ``from_obj`` refuses, and all where
+        ``json_float_rows`` refuses an axis. That reads each axis once: a lone line in place, else
+        all lines' rows joined "], [" apart, of one width, and split back by their step counts."""
+        records = [None] * len(lines)
+        heads = [(i, head) for i, line in enumerate(lines) if (head := _head(line)) is not None]
+        axes = []
+        for axis in (1, 2):
+            spans = [(lines[i], *head[axis]) for i, head in heads]
+            if len(spans) == 1:
+                text, start, stop = spans[0]
+            else:
+                text = _PAD + _JOIN.join([line[start:stop] for line, start, stop in spans]) + b"]]"
+                start, stop = len(_PAD), len(text) - 2
+            if not spans or (rows := json_float_rows(text, start, stop)) is None:
+                return records
+            ends = [len(rows)] if len(spans) == 1 else itertools.accumulate(
+                line.count(_JOIN, start, stop) + 1 for line, start, stop in spans)
+            axes.append([rows[a:b] for a, b in itertools.pairwise(itertools.chain((0,), ends))])
+        for (i, head), verb_logits, noun_logits in zip(heads, *axes):
+            try:
+                records[i] = cls(head[0], verb_logits, noun_logits)
+            except ValueError:  # left to json.loads and from_obj, which raise it with the line's number
+                pass
+        return records
+
+
+def _head(line: bytes) -> tuple[str, tuple[int, int], tuple[int, int]] | None:
+    """(id, (start, stop) of the verb rows, and of the noun rows) of a line laid out as ``to_json``
+    writes it with an id of printable ASCII and no escapes, else None."""
+    if not (line.startswith(_HEAD) and line.endswith(_TAIL)):
+        return None
+    quote = line.find(b'"', len(_HEAD))
+    example_id = line[len(_HEAD):quote]
+    noun = line.find(_NOUN, quote + len(_VERB))
+    if (quote < 0 or noun < 0 or not line.startswith(_VERB, quote) or not example_id.isascii()
+            or b"\\" in example_id or not example_id.decode("ascii").isprintable()):
+        return None
+    return example_id.decode("ascii"), (quote + len(_VERB), noun), (noun + len(_NOUN), len(line) - len(_TAIL))
 
 
 @dataclass(frozen=True)
@@ -212,9 +234,9 @@ def softmax_rows(logits: LogitsTensor) -> StepDistributions:
 
 
 def iter_logits(path: str) -> Iterator[LogitsTensor]:
-    """The records of a logits file, parsed one at a time as they are read;
-    ``LogitsTensor.from_line`` reads the long lines it can."""
-    return iter_records(path, LogitsTensor.from_obj, "logits", LogitsTensor.from_line)
+    """The records of a logits file, parsed as they are read, a block of lines
+    at a time by ``LogitsTensor.from_lines`` and by ``json.loads`` where it refuses."""
+    return iter_records(path, LogitsTensor.from_obj, "logits", LogitsTensor.from_lines)
 
 
 def load_logits(path: str) -> list[LogitsTensor]:

@@ -112,7 +112,7 @@ def _reweight(
     raw *= probs
     if weight is not None:
         raw *= weight
-    total = raw.sum()
+    total = np.add.reduce(raw)  # raw.sum()'s reduction, without its Python wrapper
     if total > 0.0:
         raw /= total
         return raw, False

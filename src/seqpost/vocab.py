@@ -580,46 +580,62 @@ def dump_records(records: Iterable, path: str) -> None:
 dump_corpus = dump_records
 
 
-# Lines longer than this many bytes are offered to an iter_numbered_records
-# caller's parse_line before json.loads: below it, json.loads reads a logits
-# line faster than json_float_rows does.
-PARSE_LINE_BYTES = 20_000
+# Stripped lines go to an iter_numbered_records caller's parse_lines in blocks of this many
+# bytes or more, so that a block's fixed cost is paid once for many short lines
+LINE_BLOCK_BYTES = 1 << 16
 JSON_SPACE = b" \t\n\r"  # what JSON allows around a value; bytes.strip() also strips \x0b and \x0c
 
 
+def _line_blocks(handle) -> Iterator[tuple[list[int], list[bytes]]]:
+    """(line numbers, lines) of a binary handle's non-empty lines stripped of JSON whitespace, in
+    blocks of ``LINE_BLOCK_BYTES`` or more but the last; a line that long goes alone."""
+    numbers, lines, size, lineno = [], [], 0, 0
+    for line in handle:
+        lineno += 1
+        if not (line := line.strip(JSON_SPACE)):
+            continue
+        if len(line) >= LINE_BLOCK_BYTES and lines:
+            yield numbers, lines
+            numbers, lines, size = [], [], 0
+        numbers.append(lineno)
+        lines.append(line)
+        size += len(line)
+        del line
+        if size >= LINE_BLOCK_BYTES:
+            yield numbers, lines
+            numbers, lines, size = [], [], 0
+    if lines:
+        yield numbers, lines
+
+
 def iter_numbered_records(path: str, parse: Callable[[dict], T], kind: str,
-                          parse_line: Callable[[bytes], T | None] | None = None) -> Iterator[tuple[int, T]]:
+                          parse_lines: Callable[[list[bytes]], list] | None = None) -> Iterator[tuple[int, T]]:
     """(lineno, ``parse`` of the record) for each line of a JSONL file, stripped of JSON whitespace
-    once, that is not empty; a fault names ``path:lineno``. ``parse_line``, if given, first gets
-    each stripped line longer than ``PARSE_LINE_BYTES`` and returns its record, or None to leave
-    it to ``json.loads`` and ``parse``; it must give the record or raise the error they would.
-    The line is dropped and the record handed over before the yield, so the suspended reader
-    holds nothing of the lines it read; ``enumerate``'s reused tuple would keep the last line."""
+    once, that is not empty; a fault names ``path:lineno``. ``parse_lines``, if given, gets each of
+    ``_line_blocks`` and gives each line's record, or None to leave it to ``json.loads`` and
+    ``parse``; it raises nothing. Each line is dropped once parsed, and each record once handed
+    over, so the suspended reader holds at most the rest of its block."""
     with open(path, "rb") as handle:
-        lineno = 0
-        for line in handle:
-            lineno += 1
-            line = line.strip(JSON_SPACE)
-            if not line:
-                continue
-            record = [None]
-            try:  # both decode errors are ValueErrors, so they are caught first
-                if parse_line is not None and len(line) > PARSE_LINE_BYTES:
-                    record[0] = parse_line(line)
-                if record[0] is None:
-                    record[0] = parse(json.loads(line.decode()))
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
-            del line
-            yield lineno, record.pop()  # popped, as a name would hold it until the next line
+        for numbers, lines in _line_blocks(handle):
+            records = [None] * len(lines) if parse_lines is None else parse_lines(lines)
+            lines[:] = [line if record is None else None for line, record in zip(lines, records)]
+            for i, lineno in enumerate(numbers):  # not over the lines: its reused tuple would keep one
+                try:  # both decode errors are ValueErrors, so they are caught first
+                    if records[i] is None:
+                        records[i] = parse(json.loads(lines[i].decode()))
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
+                lines[i] = None
+                yield lineno, records[i]
+                records[i] = None
 
 
 def iter_records(path: str, parse: Callable[[dict], T], kind: str,
-                 parse_line: Callable[[bytes], T | None] | None = None) -> Iterator[T]:
+                 parse_lines: Callable[[list[bytes]], list] | None = None) -> Iterator[T]:
     """The records of :func:`iter_numbered_records`, without their line numbers;
     a ``map``, which, unlike a generator's loop variable, keeps no record it gave."""
-    return map(operator.itemgetter(1), iter_numbered_records(path, parse, kind, parse_line))
+    return map(operator.itemgetter(1), iter_numbered_records(path, parse, kind, parse_lines))

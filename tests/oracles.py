@@ -6,7 +6,7 @@ with the package proper.
 
 import json
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath
 import numpy as np
@@ -14,8 +14,9 @@ import numpy as np
 from seqpost.cooc import CoocStats, IndicatorMode, SmoothingConfig
 from seqpost.ensemble import EnsembleWeights, combine_logits, softmax_rows
 from seqpost.metric import evaluate_corpus
-from seqpost.refine import PredictionConfig, generate_patterns
+from seqpost.refine import TIERS, PredictionConfig, PredictionSet, generate_patterns
 from seqpost.rng import CounterRng
+from seqpost.vocab import Action
 
 
 def recursive_edit_distance(a, b, allow_transposition):
@@ -193,6 +194,72 @@ def score_table(stats, axis, mode):
         num = np.clip(transition * marginal[:, None], lo, hi)
     log_num = np.log(num)
     return (log_num - np.log(clamped[:, None] * clamped)) / -log_num
+
+
+def pairwise_sum(values):
+    """The float sum of ``values`` as numpy's pairwise summation adds a
+    contiguous float64 row: left to right from 0.0 below 8 entries; up to 128,
+    eight running sums over the entries in strides of 8, added in pairs, then
+    the last n % 8 entries left to right; above that, the two halves split at
+    a multiple of 8, each summed so."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+    sums = list(values[:8])
+    for start in range(8, n - n % 8, 8):
+        for lane in range(8):
+            sums[lane] += values[start + lane]
+    total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
+    for value in values[n - n % 8:]:
+        total += value
+    return total
+
+
+def _first_largest(row):
+    row = [float(p) for p in row]
+    return row.index(max(row))
+
+
+def refined_row(probs, scores, weight=None):
+    """probs times the scores cut at zero, and times ``weight`` if given,
+    divided by its ``pairwise_sum``; ``probs`` where that sum is not positive."""
+    raw = np.maximum(scores, 0.0) * probs
+    if weight is not None:
+        raw = raw * weight
+    total = pairwise_sum(raw.tolist())
+    return raw / total if total > 0.0 else probs
+
+
+def reference_patterns(dists, stats, cfg, stream=0):
+    """``generate_patterns`` by a plain loop over chains and steps, each refined
+    row built from the previous pick's row of ``score_table``: pattern 0 takes
+    each step's first largest entry, pattern 1 chains greedily on the refined
+    rows, and patterns 2 .. K-1 chain on draws by ``choice_from_cdf_walk`` from
+    one CounterRng stream, noun before verb at each step."""
+    patterns = [tuple(map(Action, map(_first_largest, dists.verb_probs), map(_first_largest, dists.noun_probs)))]
+    if cfg.num_patterns >= 2:
+        tables = {axis: score_table(stats, axis, cfg.mode) for axis in ("verb", "noun")}
+    rng = CounterRng(cfg.rng_seed, stream)
+    for k in range(1, cfg.num_patterns):
+        pick = _first_largest if k == 1 else partial(choice_from_cdf_walk, rng)
+        actions = []
+        for verb_row, noun_row in zip(dists.verb_probs, dists.noun_probs):
+            if actions:
+                prev = actions[-1]
+                noun_row = refined_row(noun_row, tables["noun"][prev.noun_id])
+            noun = pick(noun_row)
+            if actions:
+                verb_row = refined_row(verb_row, tables["verb"][prev.verb_id], stats.verb_given_noun[noun])
+            actions.append(Action(pick(verb_row), noun))
+        patterns.append(tuple(actions))
+    tiers = tuple(TIERS[min(k, 2)] for k in range(cfg.num_patterns))
+    return PredictionSet(dists.example_id, tuple(patterns), tiers)
 
 
 def sweep_scores(a_list, b_list, truths):

@@ -1092,11 +1092,14 @@ def test_non_finite_ensemble_weights_are_one_error_line(workspace, capsys, comma
     ("refine", "generate_patterns"), ("ensemble", "combine_logits"),
 ])
 def test_two_logits_files_are_read_in_lockstep(workspace, monkeypatch, command, consumer):
-    """Example i is refined or combined once exactly i + 1 records of each file are parsed."""
+    """Example i is refined or combined once exactly i + 1 records of each file are parsed. Each
+    line has a key that ``LogitsTensor.from_lines`` leaves to ``json.loads``, which the reader
+    calls for one record at a time as it hands each over."""
     assert _build_stats(workspace) == 0
     lines = (workspace / "logits.jsonl").read_text().splitlines()
     logits_b = workspace / "logits_b.jsonl"
-    _write_lines(logits_b, [json.dumps(json.loads(line) | {"model": "b"}) for line in lines])
+    for path, model in ((workspace / "logits.jsonl", "a"), (logits_b, "b")):
+        _write_lines(path, [json.dumps(json.loads(line) | {"model": model}) for line in lines])
     parsed = {"a": 0, "b": 0}
     from_obj = LogitsTensor.from_obj
 

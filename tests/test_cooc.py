@@ -558,6 +558,23 @@ def test_streamed_read_equals_whole_text_parse_at_lta_size(
     _assert_same_stats(CoocStats.from_json(io.StringIO(text)), expected)
 
 
+def test_streamed_read_at_lta_size_decodes_no_row_the_buffer_cuts_off(lta_stats_text, monkeypatch):
+    """A row that runs past the buffer is read on before it is decoded: a
+    failed decode would count the buffer's newlines for its message."""
+    raised = []
+    init = json.JSONDecodeError.__init__
+
+    def counting_init(self, *args, **kwargs):
+        raised.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecodeError, "__init__", counting_init)
+    stats = CoocStats.from_json(io.StringIO(lta_stats_text))
+    assert stats.noun_transition.shape == (478, 478)
+    assert raised == []
+    _assert_same_stats(stats, stats_from_whole_text(lta_stats_text))
+
+
 @pytest.mark.parametrize("chunk", [1, 7, None])
 @pytest.mark.parametrize("variant", [str, _indent2, _reordered, _duplicate_keys],
                          ids=["writer", "indent2", "reordered", "duplicate_keys"])

@@ -14,10 +14,9 @@ checks the error contract: exit 1, exactly one stderr line, starting
 ``error: <that file>``, and no output file or manifest. An extra key may
 instead be ignored, with the same output bytes as the valid files give.
 
-A logits record too wide to enumerate, whose line is long enough for the
-reader to offer it to ``LogitsTensor.from_line``, is read by ``ensemble``;
-hypothesis samples its places and the fractions of its text where a text
-mutation goes.
+A logits record too wide to enumerate, whose line ``LogitsTensor.from_lines``
+reads as a whole array per axis, is read by ``ensemble``; hypothesis samples
+its places and the fractions of its text where a text mutation goes.
 
 Left out: a dropped synth config key, since every ``SynthConfig`` field has a
 default; and a duplicate id in ``stats`` and ``refine`` inputs, which read
@@ -39,7 +38,7 @@ from hypothesis import strategies as st
 from seqpost.cli import main
 from seqpost.cooc import SmoothingConfig, build_stats
 from seqpost.ensemble import LogitsTensor
-from seqpost.vocab import PARSE_LINE_BYTES, Action, ActionSequence, Vocabulary
+from seqpost.vocab import Action, ActionSequence, Vocabulary
 
 CORPUS = {"episode_id": "e0", "actions": [[0, 1], [1, 2]]}
 LOGITS = {"example_id": "e0", "verb_logits": [[0.5, -1.0], [0.0, 2.0]],
@@ -245,9 +244,8 @@ def test_one_mutation_is_one_error_line_and_no_output(case, text, depth):
 
 
 def test_the_wide_logits_line_is_offered_to_the_kernel():
-    line = (json.dumps(WIDE_LOGITS) + "\n").encode()
-    assert len(line) > PARSE_LINE_BYTES
-    assert LogitsTensor.from_line(line) is not None
+    line = json.dumps(WIDE_LOGITS).encode()
+    assert LogitsTensor.from_lines([line]) != [None]
 
 
 @st.composite

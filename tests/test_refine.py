@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_patterns, refined_row, score_table
 
+import seqpost.refine
 from seqpost.cooc import CoocStats, IndicatorMode, SmoothingConfig, build_stats
 from seqpost.ensemble import StepDistributions
 from seqpost.refine import (
@@ -271,3 +275,70 @@ def test_refined_beats_raw_on_structured_episodes():
         raw_total += edit_distance([(a.verb_id, a.noun_id) for a in preds.patterns[0]], tokens)
         refined_total += edit_distance([(a.verb_id, a.noun_id) for a in preds.patterns[1]], tokens)
     assert refined_total <= raw_total
+
+
+def _refine_case(seed):
+    """(distributions, stats, config, stream) drawn from ``seed``: 1 to 10
+    classes per axis, 1 to 12 steps, 1 to 6 patterns and either mode; the
+    corpus uses only the lower classes of each axis, and about half the
+    distributions have zero entries, so that both axes fall back. About a
+    quarter of the rows are weights that sum short of 1, so that a draw at a
+    first step can pass the last class and take the last one with mass."""
+    rng = np.random.default_rng(seed)
+    c_verb, c_noun = rng.integers(1, 11, 2).tolist()
+    seen_verbs, seen_nouns = int(rng.integers(1, c_verb + 1)), int(rng.integers(1, c_noun + 1))
+    corpus = [ActionSequence(f"t{i}", tuple(map(Action, rng.integers(seen_verbs, size=n).tolist(),
+                                                  rng.integers(seen_nouns, size=n).tolist())))
+              for i, n in enumerate(rng.integers(1, 6, int(rng.integers(1, 4))).tolist())]
+    vocab = lambda kind, c: Vocabulary(kind, tuple(f"{kind}{i}" for i in range(c)))
+    stats = build_stats(corpus, vocab("verb", c_verb), vocab("noun", c_noun),
+                        SmoothingConfig(add_k=float(rng.choice([0.0, 0.5]))))
+    z = int(rng.integers(1, 13))
+    axes = []
+    for c in (c_verb, c_noun):
+        probs = rng.random((z, c))
+        if rng.random() < 0.5:
+            probs *= rng.random((z, c)) < 0.5
+            probs[np.arange(z), rng.integers(c, size=z)] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        if rng.random() < 0.25:
+            probs *= rng.random((z, 1))
+        axes.append(probs)
+    cfg = PredictionConfig(num_patterns=int(rng.integers(1, 7)), rng_seed=int(rng.integers(2**32)),
+                           mode=list(IndicatorMode)[rng.integers(2)])
+    return StepDistributions("x", *axes), stats, cfg, int(rng.integers(100))
+
+
+@pytest.mark.bits
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_generate_patterns_equals_the_reference_loop(seed):
+    dists, stats, cfg, stream = _refine_case(seed)
+    assert generate_patterns(dists, stats, cfg, stream) == reference_patterns(dists, stats, cfg, stream)
+    # each refined row, after every previous class, has the reference's bits: a pick
+    # above depends on them only where a draw or a tie falls within an ulp
+    verbs, nouns = (score_table(stats, axis, cfg.mode) for axis in ("verb", "noun"))
+    for z, (verb_row, noun_row) in enumerate(zip(dists.verb_probs, dists.noun_probs)):
+        noun = z % stats.c_noun
+        for prev in range(stats.c_noun):
+            refined, _ = refine_noun_step(noun_row, prev, stats, cfg.mode)
+            assert refined.tobytes() == refined_row(noun_row, nouns[prev]).tobytes()
+        for prev in range(stats.c_verb):
+            refined, _ = refine_verb_step(verb_row, prev, noun, stats, cfg.mode)
+            assert refined.tobytes() == refined_row(verb_row, verbs[prev], stats.verb_given_noun[noun]).tobytes()
+
+
+def test_the_reference_cases_make_both_axes_fall_back(monkeypatch):
+    fallbacks = set()
+    reweight = seqpost.refine._reweight
+
+    def recording(probs, prev, axis, *args):
+        refined, fallback = reweight(probs, prev, axis, *args)
+        if fallback:
+            fallbacks.add(axis)
+        return refined, fallback
+
+    monkeypatch.setattr(seqpost.refine, "_reweight", recording)
+    for seed in range(100):
+        generate_patterns(*_refine_case(seed))
+    assert fallbacks == {"verb", "noun"}

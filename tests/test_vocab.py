@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import seqpost.vocab
 from seqpost.cooc import corpus_fingerprint
 from seqpost.ensemble import LogitsTensor, iter_logits
 from seqpost.refine import PredictionSet
 from seqpost.vocab import (
-    PARSE_LINE_BYTES, Action, ActionSequence, Vocabulary, iter_numbered_records, iter_records,
+    JSON_SPACE, LINE_BLOCK_BYTES, Action, ActionSequence, Vocabulary, iter_numbered_records, iter_records,
     json_float_rows, json_number_text, json_numbers, validate_sequence,
 )
 
@@ -186,28 +190,28 @@ def test_reader_strips_only_json_whitespace(tmp_path, space):
 
 
 def _recording(seen):
-    def parse_line(line):
-        seen.append(line)
-        return len(line)
-    return parse_line
+    def parse_lines(lines):
+        seen.append(list(lines))
+        return [len(line) for line in lines]
+    return parse_lines
 
 
-def test_reader_hands_parse_line_a_long_line_stripped_of_json_whitespace(tmp_path):
+def test_reader_hands_parse_lines_a_long_line_alone_stripped_of_json_whitespace(tmp_path):
     path = tmp_path / "records.jsonl"
-    record = json.dumps({"x": list(range(PARSE_LINE_BYTES // 4))}).encode()
-    assert len(record) > PARSE_LINE_BYTES
+    record = json.dumps({"x": list(range(LINE_BLOCK_BYTES // 4))}).encode()
+    assert len(record) > LINE_BLOCK_BYTES
     path.write_bytes(b"{}\n \t " + record + b"\r\n")
     seen = []
-    assert list(iter_numbered_records(str(path), len, "test", _recording(seen))) == [(1, 0), (2, len(record))]
-    assert seen == [record]
+    assert list(iter_numbered_records(str(path), len, "test", _recording(seen))) == [(1, 2), (2, len(record))]
+    assert seen == [[b"{}"], [record]]
 
 
-def test_reader_skips_a_long_line_of_spaces_without_calling_parse_line(tmp_path):
+def test_reader_skips_a_long_line_of_spaces_without_handing_it_to_parse_lines(tmp_path):
     path = tmp_path / "records.jsonl"
-    path.write_bytes(b" " * (PARSE_LINE_BYTES + 1) + b"\r\n{}\n")
+    path.write_bytes(b" " * (LINE_BLOCK_BYTES + 1) + b"\r\n{}\n")
     seen = []
-    assert list(iter_numbered_records(str(path), len, "test", _recording(seen))) == [(2, 0)]
-    assert seen == []
+    assert list(iter_numbered_records(str(path), len, "test", _recording(seen))) == [(2, 2)]
+    assert seen == [[b"{}"]]
 
 
 def _assert_reader_holds_only_the_record(path, line, records, count):
@@ -235,8 +239,8 @@ def test_reader_holds_only_the_record_while_the_caller_has_it(tmp_path):
     _assert_reader_holds_only_the_record(path, line, records, 50_000)
 
 
-def test_reader_holds_only_the_record_read_by_parse_line(tmp_path):
-    # a long logits line goes to LogitsTensor.from_line, which must drop the
+def test_reader_holds_only_the_record_read_by_parse_lines(tmp_path):
+    # a long logits line goes alone to LogitsTensor.from_lines, which must drop the
     # line's bytes and every array it made but the record's before the reader yields
     path = tmp_path / "wide.jsonl"
     rng = np.random.default_rng(0)
@@ -248,7 +252,7 @@ def test_reader_holds_only_the_record_read_by_parse_line(tmp_path):
         raise AssertionError("the line went to json.loads")
 
     records = iter_numbered_records(str(path), json_path, "logits",
-                                    lambda raw: LogitsTensor.from_line(raw).num_steps)
+                                    lambda lines: [t.num_steps for t in LogitsTensor.from_lines(lines)])
     _assert_reader_holds_only_the_record(path, line, records, 20)
 
 
@@ -414,60 +418,73 @@ def test_logits_lines_read_every_lta_value_as_json_loads_does(tmp_path, seed):
     for name in ("logits_a", "logits_b"):
         with open(files[name], "rb") as handle:
             for raw in handle:
-                assert len(raw) > PARSE_LINE_BYTES
-                read, expected = LogitsTensor.from_line(raw), LogitsTensor.from_obj(json.loads(raw))
+                assert len(raw) > LINE_BLOCK_BYTES  # so the reader hands each line over alone
+                (read,) = LogitsTensor.from_lines([raw.strip(JSON_SPACE)])
+                expected = LogitsTensor.from_obj(json.loads(raw))
                 assert read.example_id == expected.example_id
                 for axis in ("verb_logits", "noun_logits"):
                     assert getattr(read, axis).shape == getattr(expected, axis).shape
                     assert _bits(getattr(read, axis)) == _bits(getattr(expected, axis))
 
 
+def _outcome(records):
+    """Each record read, with its arrays' bits, until the first fault; and that fault's text."""
+    read = []
+    try:
+        for t in records:
+            read.append((t.example_id, t.verb_logits.shape, t.noun_logits.shape, _bits(t.verb_logits),
+                         _bits(t.noun_logits)))
+    except ValueError as exc:
+        return read, str(exc)
+    return read, None
+
+
+def _variants(line: str) -> dict[str, str]:
+    """The logits line ``line``, of id "ex0" and 3 verb rows, and lines that
+    each differ from it in one way, by name."""
+    verbs_at = line.index("[[") + 2
+    verb_rows = line[verbs_at:line.index("]]", verbs_at)].split("], [")
+    first_token = verb_rows[0].split(", ")[0]
+    second_row = verb_rows[1].split(", ")
+    cut = len(second_row) * 3 // 4
+
+    def variant(old: str, new: str, count: int = 1) -> str:
+        assert old and old in line
+        return line.replace(old, new, count)
+
+    return {
+        **{f"token_{token}": variant(first_token, token) for token in (
+            "1", "1.", ".5", "01.5", "-01.5", "-", "+1.5", "1.5.5", "1e400", "-1e400", "NaN", "-Infinity",
+            "true", "null", '"1.5"', "1e5", "-0", "00", "1.5e", "0x10", "1_0.5", " 1.5", "1.5 ", "[1.5]", "")},
+        "as_written": line,
+        "spaced": " \t" + line + "\r ",
+        "ragged": variant(first_token + ", ", ""),
+        "ragged_rows": variant("], [", ", ", 1),
+        "uneven_rows": variant("], [".join(verb_rows), "], [".join(  # WIDE_LINE: rows of 400, 300, 500
+            [verb_rows[0], ", ".join(second_row[:cut]), ", ".join(second_row[cut:] + [verb_rows[2]])])),
+        "unspaced": variant(", -", ",-"),
+        "row_without_bracket": variant("], [" + verb_rows[1], "], -" + verb_rows[1]),
+        "empty_row": variant("[[", "[[], ["),
+        "nested": variant("[[", "[[["),
+        "extra_key": line[:-1] + ', "x": 1}',
+        "reordered": '{"verb_logits": [[1.5]], ' + line[1:].replace('"verb_logits"', '"x"', 1),
+        "duplicate_key": variant('"noun_logits": ', '"noun_logits": [[1.5]], "noun_logits": '),
+        "compact": line.replace(", ", ","),
+        "escaped_id": variant('"ex0"', '"ex\\u0030"'),
+        "unicode_id": variant('"ex0"', '"\u00e9x0"'),
+        "numeric_id": variant('"ex0"', "7"),
+        "quote_in_id": variant('"ex0"', '"e\\"x0"'),
+        "steps_differ": variant("]], \"noun_logits\"", "], [" + verb_rows[0] + "]], \"noun_logits\""),
+        "trailing": line + " x",
+    }
+
+
 WIDE_LINE = LogitsTensor("ex0", np.random.default_rng(5).normal(size=(3, 400)) * 3,
                          np.random.default_rng(6).normal(size=(3, 500)) * 3).to_json()
-_VERBS_AT = WIDE_LINE.index("[[") + 2
-VERB_ROWS = WIDE_LINE[_VERBS_AT:WIDE_LINE.index("]]", _VERBS_AT)].split("], [")
-FIRST_TOKEN = VERB_ROWS[0].split(", ")[0]
-SECOND_ROW = VERB_ROWS[1].split(", ")
-
-
-def _outcome(records):
-    try:
-        return [(t.example_id, t.verb_logits.shape, t.noun_logits.shape, _bits(t.verb_logits),
-                 _bits(t.noun_logits)) for t in records]
-    except ValueError as exc:
-        return str(exc)
-
-
-def _variant(old: str, new: str, count: int = 1) -> str:
-    assert old and old in WIDE_LINE
-    return WIDE_LINE.replace(old, new, count)
-
-
-VARIANTS = {
-    **{f"token_{token}": _variant(FIRST_TOKEN, token) for token in (
-        "1", "1.", ".5", "01.5", "-01.5", "-", "+1.5", "1.5.5", "1e400", "-1e400", "NaN", "-Infinity", "true",
-        "null", '"1.5"', "1e5", "-0", "00", "1.5e", "0x10", "1_0.5", " 1.5", "1.5 ", "[1.5]", "")},
-    "as_written": WIDE_LINE,
-    "spaced": " \t" + WIDE_LINE + "\r ",
-    "ragged": _variant(FIRST_TOKEN + ", ", ""),
-    "ragged_rows": _variant("], [", ", ", 1),
-    "uneven_rows": _variant("], [".join(VERB_ROWS), "], [".join(  # rows of 400, 300 and 500 tokens
-        [VERB_ROWS[0], ", ".join(SECOND_ROW[:300]), ", ".join(SECOND_ROW[300:] + [VERB_ROWS[2]])])),
-    "unspaced": _variant(", -", ",-"),
-    "row_without_bracket": _variant("], [" + VERB_ROWS[1], "], -" + VERB_ROWS[1]),
-    "empty_row": _variant("[[", "[[], ["),
-    "nested": _variant("[[", "[[["),
-    "extra_key": WIDE_LINE[:-1] + ', "x": 1}',
-    "reordered": '{"verb_logits": [[1.5]], ' + WIDE_LINE[1:].replace('"verb_logits"', '"x"', 1),
-    "duplicate_key": _variant('"noun_logits": ', '"noun_logits": [[1.5]], "noun_logits": '),
-    "compact": WIDE_LINE.replace(", ", ","),
-    "escaped_id": _variant('"ex0"', '"ex\\u0030"'),
-    "unicode_id": _variant('"ex0"', '"\u00e9x0"'),
-    "numeric_id": _variant('"ex0"', "7"),
-    "quote_in_id": _variant('"ex0"', '"e\\"x0"'),
-    "steps_differ": _variant("]], \"noun_logits\"", "], [" + VERB_ROWS[0] + "]], \"noun_logits\""),
-    "trailing": WIDE_LINE + " x",
-}
+VARIANTS = _variants(WIDE_LINE)
+# the same variants of a line a few tokens wide, read among other lines in one block
+SHORT_VARIANTS = _variants(LogitsTensor("ex0", np.random.default_rng(5).normal(size=(3, 4)) * 3,
+                                        np.random.default_rng(6).normal(size=(3, 5)) * 3).to_json())
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
@@ -476,23 +493,19 @@ def test_a_long_logits_line_reads_as_json_loads_reads_it(tmp_path, name):
     line gives the record or the error message that json.loads gives."""
     path = tmp_path / "logits.jsonl"
     path.write_text(VARIANTS[name] + "\n", encoding="utf-8")
-    assert path.stat().st_size > PARSE_LINE_BYTES
     expected = _outcome(iter_records(str(path), LogitsTensor.from_obj, "logits"))
     assert _outcome(iter_logits(str(path))) == expected
-    try:
-        taken = LogitsTensor.from_line(VARIANTS[name].encode()) is not None
-    except ValueError:  # the record's own check, as from_obj makes it
-        taken = True
+    taken = LogitsTensor.from_lines([VARIANTS[name].encode().strip(JSON_SPACE)]) != [None]
     assert taken == (name in TAKEN_BY_THE_KERNEL)
 
 
-# the lines above that the kernel reads itself; it leaves every other one to json.loads whole
-TAKEN_BY_THE_KERNEL = {"as_written", "spaced", "steps_differ", "token_1e400", "token_-1e400", "token_1e5",
-                       "token_NaN", "token_-Infinity", "token_ 1.5", "token_1.5 "}
+# the lines above whose records the kernel reads itself; it leaves every other one, and each
+# one the record's own checks refuse, to json.loads whole
+TAKEN_BY_THE_KERNEL = {"as_written", "spaced", "token_1e5", "token_ 1.5", "token_1.5 "}
 
 
 @pytest.mark.parametrize("line, message", [
-    (VARIANTS["token_NaN"].encode(), "bad logits record: logits must be finite"),  # read by the kernel
+    (VARIANTS["token_NaN"].encode(), "bad logits record: logits must be finite"),  # read by the kernel first
     (WIDE_LINE[:-1].encode(), "invalid JSON: "),
     (WIDE_LINE.encode().replace(b'"ex0"', b'"\xe9x0"'), "not UTF-8: "),
     (WIDE_LINE.replace(", ", ",").replace('"noun_logits"', '"nouns"').encode(),
@@ -506,3 +519,99 @@ def test_a_bad_long_line_is_named_by_its_line_on_each_path(tmp_path, line, messa
     with pytest.raises(ValueError) as excinfo:
         next(records)
     assert str(excinfo.value).startswith(f"{path}:3: {message}")
+
+
+LONG_LINE = LogitsTensor("long", np.random.default_rng(8).normal(size=(2, 900)),
+                         np.random.default_rng(9).normal(size=(2, 900))).to_json()
+
+
+@st.composite
+def _logits_lines(draw):
+    """The lines of a logits file: short ones as ``to_json`` writes them, of one
+    step and class count or of several, with blank and whitespace-only lines
+    among them; perhaps one line longer than a block, and perhaps one short
+    variant of a line, placed first, mid-file or last."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps, classes = draw(st.just((3, (4, 5))) |  # the short variants' counts
+                          st.tuples(st.integers(1, 4), st.tuples(st.integers(1, 6), st.integers(1, 6))))
+    vary_steps, vary_classes = draw(st.booleans()), draw(st.booleans())
+    lines = []
+    for i in range(draw(st.integers(0, 16))):
+        z = draw(st.integers(1, 4)) if vary_steps else steps
+        c_verb, c_noun = draw(st.tuples(st.integers(1, 6), st.integers(1, 6))) if vary_classes else classes
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        lines.append(LogitsTensor(f"e{i}", rng.normal(size=(z, c_verb)) * scale,
+                                  rng.normal(size=(z, c_noun)) * scale).to_json())
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t\r", "  \t "])))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), LONG_LINE)
+    name = draw(st.none() | st.sampled_from(sorted(SHORT_VARIANTS)))
+    if name is not None:
+        lines.insert(draw(st.sampled_from([0, len(lines) // 2, len(lines)])), SHORT_VARIANTS[name])
+    return lines
+
+
+def _in_blocks_of(size):
+    """``LogitsTensor.from_lines`` over each run of ``size`` lines of a block."""
+    def parse_lines(lines):
+        return [record for start in range(0, len(lines), size)
+                for record in LogitsTensor.from_lines(lines[start:start + size])]
+    return parse_lines
+
+
+@pytest.mark.bits
+@settings(max_examples=200, deadline=None)
+@given(_logits_lines())
+def test_logits_read_in_blocks_read_as_json_loads_reads_each_line(lines):
+    assert len(LONG_LINE) >= LINE_BLOCK_BYTES
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "logits.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in lines))
+        expected = _outcome(iter_records(path, LogitsTensor.from_obj, "logits"))
+        assert _outcome(iter_logits(path)) == expected
+        # one block of the whole file, read in runs of one line, of 7 and of all
+        with mock.patch.object(seqpost.vocab, "LINE_BLOCK_BYTES", 1 << 62):
+            for size in (1, 7, max(len(lines), 1)):
+                records = iter_records(path, LogitsTensor.from_obj, "logits", _in_blocks_of(size))
+                assert _outcome(records) == expected, size
+
+
+@pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "mid", "last"])
+@pytest.mark.parametrize("name", list(SHORT_VARIANTS))
+def test_a_short_logits_line_in_a_block_reads_as_json_loads_reads_it(tmp_path, name, where):
+    """Among six lines of its step and class counts, a short variant gives the
+    records and the fault that json.loads gives, and the kernel reads the
+    same variants in a block as it reads alone."""
+    rng = np.random.default_rng(3)
+    lines = [LogitsTensor(f"e{i}", rng.normal(size=(3, 4)), rng.normal(size=(3, 5))).to_json() for i in range(6)]
+    lines.insert(where, SHORT_VARIANTS[name])
+    path = tmp_path / "logits.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert _outcome(iter_logits(str(path))) == _outcome(iter_records(str(path), LogitsTensor.from_obj, "logits"))
+    read = LogitsTensor.from_lines([line.encode().strip(JSON_SPACE) for line in lines])
+    assert (read[where] is not None) == (name in TAKEN_BY_THE_KERNEL)
+
+
+def test_reader_holds_less_than_a_block_while_the_caller_has_a_short_line_record(tmp_path):
+    """Short lines are parsed a block at a time, and a line is dropped once it
+    is parsed: while the caller has a record, the suspended reader holds the
+    rest of its block's records, and none of the lines it read."""
+    path = tmp_path / "desk.jsonl"
+    rng = np.random.default_rng(0)
+    lines = [LogitsTensor(f"e{i}", rng.normal(size=(20, 6)), rng.normal(size=(20, 8))).to_json() + "\n"
+             for i in range(60)]
+    path.write_text("".join(lines))
+    assert len(lines[0]) < LINE_BLOCK_BYTES / 10 and path.stat().st_size > 4 * LINE_BLOCK_BYTES
+    records = iter_logits(str(path))
+    held = []
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for record in records:
+            held.append(tracemalloc.get_traced_memory()[0] - baseline)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 60 and record.example_id == "e59"
+    assert max(held) < LINE_BLOCK_BYTES, held
